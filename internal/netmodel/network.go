@@ -52,14 +52,44 @@ func NewNetwork(g *Graph, sessions []*Session, paths [][][]int) (*Network, error
 			return nil, fmt.Errorf("netmodel: session %d has %d paths for %d receivers", i, len(paths[i]), len(s.Receivers))
 		}
 		froms := append([]int{s.Sender}, s.ExtraSenders...)
-		for k, p := range paths[i] {
-			if err := validateWalkFromAny(g, froms, s.Receivers[k], p); err != nil {
+		// One check per run: a run's receivers share the host and the
+		// path slice, so the check could only repeat its verdict.
+		for k := 0; k < len(s.Receivers); k += pathRun(paths[i], s.Receivers, k) {
+			if err := validateWalkFromAny(g, froms, s.Receivers[k], paths[i][k]); err != nil {
 				return nil, fmt.Errorf("netmodel: session %d receiver %d: %w", i, k, err)
 			}
 		}
 	}
 	n.index()
 	return n, nil
+}
+
+// PathRun returns the length of the run of session i's receivers that
+// starts at receiver k: k itself plus every directly following receiver
+// hosted at the same node whose data-path is the same slice (not merely
+// equal contents) as r_{i,k}'s. Such receivers are interchangeable for
+// anything computed from host and path, so a pass over data-paths may
+// handle a whole run at once, counting it with multiplicity. Generators
+// that park many receivers behind one access point (topology.Planetary)
+// alias one path slice per point, which is what makes runs long; with
+// unaliased paths every run has length 1 and nothing changes.
+func (n *Network) PathRun(i, k int) int {
+	return pathRun(n.paths[i], n.sessions[i].Receivers, k)
+}
+
+// pathRun is PathRun over one session's paths and receiver hosts.
+func pathRun(ps [][]int, hosts []int, k int) int {
+	r := 1
+	for k+r < len(ps) && hosts[k+r] == hosts[k] && sameSlice(ps[k+r], ps[k]) {
+		r++
+	}
+	return r
+}
+
+// sameSlice reports whether a and b are the same slice: equal length
+// over the same backing elements.
+func sameSlice(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func validateSession(i int, s *Session) error {
@@ -140,15 +170,18 @@ func validateWalk(g *Graph, from, to int, p []int) error {
 
 // index precomputes R_{i,j} and |R_j| from the data-paths.
 //
-// The construction is linear in the total path footprint (sum of path
-// lengths over all receivers) rather than links x sessions x receivers:
-// a per-session sweep discovers each (session, link) segment once via an
-// epoch-stamped scratch row, segments are counting-sorted by link (the
-// sweep emits them session-ascending, and counting sort is stable, so
-// each link's segment list stays session-ascending exactly as before),
-// and a second sweep scatters receiver indices k-ascending into one flat
-// backing. Output is byte-for-byte the historical shape: everything
-// lives in two backing arrays instead of per-link append chains.
+// The construction is linear in the distinct path footprint (sum of
+// path lengths over runs of receivers sharing a path, see PathRun) plus
+// the output size, rather than links x sessions x receivers: a
+// per-session sweep discovers each (session, link) segment once via an
+// epoch-stamped scratch row, counting a run's receivers with
+// multiplicity; segments are counting-sorted by link (the sweep emits
+// them session-ascending, and counting sort is stable, so each link's
+// segment list stays session-ascending exactly as before), and a second
+// sweep scatters receiver indices k-ascending into one flat backing, a
+// run at a time. Output is byte-for-byte the historical shape:
+// everything lives in two backing arrays instead of per-link append
+// chains.
 func (n *Network) index() {
 	nl := n.graph.NumLinks()
 	n.onLink = make([][]SessionReceivers, nl)
@@ -164,16 +197,18 @@ func (n *Network) index() {
 	totKs := 0
 	for i := range n.sessions {
 		epoch := int32(i + 1)
-		for _, p := range n.paths[i] {
-			for _, j := range p {
+		ps, hosts := n.paths[i], n.sessions[i].Receivers
+		for k, run := 0, 0; k < len(ps); k += run {
+			run = pathRun(ps, hosts, k)
+			totKs += run * len(ps[k])
+			for _, j := range ps[k] {
 				if stamp[j] != epoch {
 					stamp[j] = epoch
 					linkSeg[j] = int32(len(segLink))
 					segLink = append(segLink, int32(j))
 					segCnt = append(segCnt, 0)
 				}
-				segCnt[linkSeg[j]]++
-				totKs++
+				segCnt[linkSeg[j]] += int32(run)
 			}
 		}
 		sessSegEnd[i+1] = int32(len(segLink))
@@ -195,12 +230,15 @@ func (n *Network) index() {
 	}
 	// Flat backings: one SessionReceivers record per segment (in sorted
 	// order, so each link's block is a subslice) and one shared receiver
-	// array carved by segment.
+	// array carved by segment. ksEnd[s] is segment s's fill cursor; it
+	// reuses segCnt, whose counts are folded into ksOff.
 	flat := make([]SessionReceivers, len(segLink))
 	ks := make([]int, totKs)
 	ksOff := make([]int32, len(segLink)+1)
-	for s := range segLink {
-		ksOff[s+1] = ksOff[s] + segCnt[s]
+	ksEnd := segCnt
+	for s, c := range segCnt {
+		ksOff[s+1] = ksOff[s] + c
+		ksEnd[s] = ksOff[s]
 	}
 	for i := range n.sessions {
 		// Re-stamp this session's links from its own segment block (the
@@ -209,21 +247,27 @@ func (n *Network) index() {
 		// list is ascending — the historical order.
 		for s := sessSegEnd[i]; s < sessSegEnd[i+1]; s++ {
 			linkSeg[segLink[s]] = s
-			flat[slot[s]] = SessionReceivers{Session: i, Receivers: ks[ksOff[s]:ksOff[s]:ksOff[s+1]]}
 		}
-		for k, p := range n.paths[i] {
-			for _, j := range p {
+		ps, hosts := n.paths[i], n.sessions[i].Receivers
+		for k, run := 0, 0; k < len(ps); k += run {
+			run = pathRun(ps, hosts, k)
+			for _, j := range ps[k] {
 				s := linkSeg[j]
-				at := slot[s]
-				rs := flat[at].Receivers
-				if len(rs) > 0 && rs[len(rs)-1] == k {
+				e := ksEnd[s]
+				if e > ksOff[s] && ks[e-1] == k+run-1 {
 					// A link repeated within one path (possible only on
 					// abstract networks, which skip walk validation)
-					// still counts the receiver once.
+					// still counts the run's receivers once.
 					continue
 				}
-				flat[at].Receivers = append(rs, k)
+				for x := range run {
+					ks[int(e)+x] = k + x
+				}
+				ksEnd[s] = e + int32(run)
 			}
+		}
+		for s := sessSegEnd[i]; s < sessSegEnd[i+1]; s++ {
+			flat[slot[s]] = SessionReceivers{Session: i, Receivers: ks[ksOff[s]:ksEnd[s]:ksOff[s+1]]}
 		}
 	}
 	for j := 0; j < nl; j++ {

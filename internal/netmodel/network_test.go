@@ -1,7 +1,9 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -349,5 +351,49 @@ func TestMultiSenderWalkValidation(t *testing.T) {
 		Type: MultiRate, MaxRate: NoRateCap}
 	if _, err := NewNetwork(g, []*Session{bad}, [][][]int{{{0}}}); err == nil {
 		t.Fatal("invalid walk accepted")
+	}
+}
+
+// TestPathRunIndex: receivers sharing a host and a path slice form a
+// run that the incidence index counts with multiplicity; slices with
+// equal contents but different backing arrays, or another host, break
+// the run. The incidence is the same as with every path copied,
+// including a link repeated within one abstract path, which still
+// lists each receiver once.
+func TestPathRunIndex(t *testing.T) {
+	g := NewGraph(7)
+	for j := 0; j < 3; j++ {
+		g.AddLink(1+2*j, 2+2*j, 5)
+	}
+	p, q := []int{0, 1, 0}, []int{2}
+	abstract := &Session{Sender: -1, Receivers: []int{-1, -1, -1, -1, -1, -1}, Type: MultiRate, MaxRate: NoRateCap}
+	aliased := [][]int{p, p, p, q, p, {0, 1, 0}}
+	n, err := NewNetwork(g, []*Session{abstract}, [][][]int{aliased})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []int
+	for k := 0; k < 6; k += n.PathRun(0, k) {
+		runs = append(runs, n.PathRun(0, k))
+	}
+	if fmt.Sprint(runs) != "[3 1 1 1]" {
+		t.Fatalf("runs = %v, want [3 1 1 1]", runs)
+	}
+	copied := make([][]int, len(aliased))
+	for k, a := range aliased {
+		copied[k] = append([]int(nil), a...)
+	}
+	c, err := NewNetwork(g, []*Session{abstract}, [][][]int{copied})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < g.NumLinks(); j++ {
+		if !reflect.DeepEqual(n.OnLink(j), c.OnLink(j)) || n.ReceiversCrossing(j) != c.ReceiversCrossing(j) {
+			t.Fatalf("link %d: aliased %v (%d), copied %v (%d)", j,
+				n.OnLink(j), n.ReceiversCrossing(j), c.OnLink(j), c.ReceiversCrossing(j))
+		}
+	}
+	if got := n.OnLink(0)[0].Receivers; fmt.Sprint(got) != "[0 1 2 4 5]" {
+		t.Fatalf("OnLink(0) receivers = %v, want [0 1 2 4 5]", got)
 	}
 }

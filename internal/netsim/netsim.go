@@ -74,8 +74,9 @@
 //   - Per-link fluid demand for Capacity links is maintained
 //     incrementally as subscriptions move (exact for the power-of-two
 //     exponential scheme), so admission is O(1); congestion
-//     notification uses precomputed per-edge downstream-receiver lists
-//     instead of re-walking the dropped subtree.
+//     notification scans the receivers below the dropping edge as one
+//     range of the pre-order receiver list (a DFS subtree is a
+//     contiguous node interval) instead of re-walking the subtree.
 //
 // Determinism contract: a Config's results are a pure function of its
 // fields including Seed. All randomness flows from one PCG stream whose
@@ -659,12 +660,19 @@ type sessState struct {
 	lossOnly bool
 	capOnly  bool
 
-	// downRecv CSR: downRecv[downStart[eid]:downStart[eid+1]] lists the
-	// receivers downstream of edge eid in DFS order — the congestion
-	// notification set of a drop on that edge, scanned directly instead
-	// of re-walking the subtree.
-	downStart []int32
-	downRecv  []int32
+	// downHi[eid] ends the receivers downstream of edge eid in
+	// recvList: a pre-order subtree is a contiguous node interval and
+	// recvList is sorted by node, so they are exactly
+	// recvList[hot[eid].recvLo:downHi[eid]], in DFS order (see
+	// downstream).
+	downHi []int32
+}
+
+// downstream returns the receivers below edge eid — the session's
+// R_{i,j} for the edge's link, and the congestion notification set of a
+// drop on it — in DFS order, without re-walking the subtree.
+func (s *sessState) downstream(eid int32) []int32 {
+	return s.recvList[s.hot[eid].recvLo:s.downHi[eid]]
 }
 
 // reorder moves edge eid within its (wide) parent node p's
@@ -877,7 +885,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	// layering scheme per distinct layer count, in a dense slice keyed by
 	// layer count (the zero Scheme has NumLayers 0, so presence is the
 	// value itself — no map on the construction path).
-	var globalOf, dfs, fill, dfill []int32
+	var globalOf, dfs, fill []int32
 	schemes := make([]layering.Scheme, MaxLayers+1)
 	maxEdges := 0
 	e.txCal = make([]float64, len(e.sess))
@@ -910,7 +918,9 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		}
 		gParent[ns.Sender] = int32(ns.Sender)
 		nEdges := 0
-		for k := range ns.Receivers {
+		// One walk per run of receivers sharing a path: walking it again
+		// would re-find the same parents over the same links.
+		for k := 0; k < len(ns.Receivers); k += net.PathRun(gi, k) {
 			cur := ns.Sender
 			for _, j := range net.Path(gi, k) {
 				nb := g.Other(j, cur)
@@ -963,10 +973,8 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		// into the session's arrays — a handful of allocations per
 		// session instead of ~25, with the walk-side arrays adjacent in
 		// memory. Capacities are capped at each carve so an accidental
-		// append could never bleed into a neighbor. downRecv is the one
-		// exception: its length (the sum of receiver depths) is only
-		// known after the counting pass further down.
-		s32 := make([]int32, 3*nR+(sc.Layers+1)+3*treeN+2*(treeN+1)+2*rowLen+4*nEdges+1)
+		// append could never bleed into a neighbor.
+		s32 := make([]int32, 3*nR+(sc.Layers+1)+3*treeN+2*(treeN+1)+2*rowLen+4*nEdges)
 		s64 := make([]int64, nR+2*nEdges)
 		nf := 2*sc.Layers + 1 + 2*nEdges
 		if cfg.LeaveLatency > 0 {
@@ -992,7 +1000,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		s.recvNode = take32(nR)
 		s.levels = take32(nR)
 		s.nAtLevel = take32(sc.Layers + 1)
-		s.downStart = take32(nEdges + 1)
+		s.downHi = take32(nEdges)
 		s.crossed = take64(nEdges)
 		s.lossGap = take64(nEdges)
 		s.countdown = take64(nR)
@@ -1113,28 +1121,15 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 				s.hot[eid].meta |= metaWide
 			}
 		}
-		// Downstream-receiver CSR per edge: a receiver at internal node
-		// nd sits below every edge on nd's root path, i.e. below
-		// parentEdge of each ancestor. Receivers are grouped per edge in
-		// DFS (pre-order) receiver order.
-		for k := range s.recvNode {
-			for nd := s.recvNode[k]; nd != 0; nd = s.parent[nd] {
-				s.downStart[s.parentEdge[nd]+1]++
+		// Downstream ends, in reverse pre-order: a node's subtree ends
+		// where its last child's does (children have larger ids), or
+		// right after the node itself at a leaf.
+		for nd := int32(treeN - 1); nd > 0; nd-- {
+			end := s.recvStart[nd+1]
+			if last := s.edgeStart[nd+1] - 1; last >= s.edgeStart[nd] {
+				end = s.downHi[last]
 			}
-		}
-		for eid := 0; eid < nEdges; eid++ {
-			s.downStart[eid+1] += s.downStart[eid]
-		}
-		s.downRecv = make([]int32, s.downStart[nEdges])
-		dfill = append(dfill[:0], s.downStart[:nEdges]...)
-		// recvList is already in pre-order node order; walking it keeps
-		// each edge's block in DFS order, matching the old subtree walk.
-		for _, k := range s.recvList {
-			for nd := s.recvNode[k]; nd != 0; nd = s.parent[nd] {
-				eid := s.parentEdge[nd]
-				s.downRecv[dfill[eid]] = k
-				dfill[eid]++
-			}
+			s.downHi[s.parentEdge[nd]] = end
 		}
 		// Bring every receiver online through the same incremental
 		// machinery the run uses (joins bubble up, order buckets and
@@ -1795,11 +1790,11 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 // notifyLoss delivers a congestion observation to every subscribed
 // receiver below the dropping edge, at the drop instant (the paper's
 // immediate-feedback idealization; links below a drop carry nothing).
-// The downstream receiver set of an edge is static topology, so it is a
-// precomputed list scanned in the same DFS order the subtree walk would
-// visit — subscribed receivers are exactly those above the layer.
+// The downstream receiver set of an edge is static topology, a range of
+// recvList in the same DFS order the subtree walk would visit —
+// subscribed receivers are exactly those above the layer.
 func (e *engine) notifyLoss(s *sessState, layer, eid int32) {
-	for _, k := range s.downRecv[s.downStart[eid]:s.downStart[eid+1]] {
+	for _, k := range s.downstream(eid) {
 		if s.levels[k] > layer {
 			e.congestReceiver(s, int(k))
 		}
@@ -2014,58 +2009,92 @@ func (e *engine) result() *Result {
 			}
 		}
 	}
-	// Fold edge-indexed counters back to (session, link) in flat
-	// session-major slabs: each session's tree crosses a link through
-	// at most one edge.
-	nL := e.net.NumLinks()
-	linkCrossed := make([]int, len(e.sess)*nL)
-	linkDropped := make([]int, len(e.sess)*nL)
-	linkFluid := make([]float64, len(e.sess)*nL)
-	for i := range e.sess {
-		s := &e.sess[i]
-		base := i * nL
-		for eid := range s.hot {
-			j := base + int(s.hot[eid].link)
-			linkCrossed[j] = int(s.crossed[eid])
-			linkDropped[j] = int(s.cold[eid].drops)
-			if e.now > 0 {
-				fluid := s.fluidInt[eid] + s.cum[s.edgeSub[eid]]*(e.now-s.fluidT[eid])
-				linkFluid[j] = fluid / e.now
+	res.Links = foldLinkStats(e.net, []*engine{e}, e.now, res.ReceiverRates)
+	e.flushStats(res)
+	return res
+}
+
+// foldLinkStats folds the engines' edge-indexed counters back to
+// (session, link) in flat session-major rows — each session's tree
+// crosses a link through at most one edge — and reads them out as
+// LinkStats in the network's link-major OnLink order, for a run of
+// length now; rates are the receivers' goodputs by global session.
+//
+// Definition 3's best downstream goodput comes from one reverse-pre-
+// order max per session tree: every node's parent has a smaller id, and
+// the receivers below an edge are exactly the session's R_{i,j} on its
+// link, so each edge reads the maximum a scan of OnLink's receiver list
+// would find.
+func foldLinkStats(net *netmodel.Network, engines []*engine, now float64, rates [][]float64) []LinkStats {
+	nL, rows := net.NumLinks(), net.NumSessions()*net.NumLinks()
+	crossed := make([]int, rows)
+	dropped := make([]int, rows)
+	fluid := make([]float64, rows)
+	best := make([]float64, rows)
+	maxTreeN := 0
+	for _, e := range engines {
+		for i := range e.sess {
+			maxTreeN = max(maxTreeN, len(e.sess[i].subMax))
+		}
+	}
+	nodeBest := make([]float64, maxTreeN)
+	for _, e := range engines {
+		for li := range e.sess {
+			s := &e.sess[li]
+			gi := li
+			if e.gsess != nil {
+				gi = e.gsess[li]
+			}
+			nb := nodeBest[:len(s.subMax)]
+			clear(nb)
+			for k, r := range rates[gi] {
+				if nd := s.recvNode[k]; r > nb[nd] {
+					nb[nd] = r
+				}
+			}
+			for nd := len(nb) - 1; nd > 0; nd-- {
+				if p := s.parent[nd]; nb[nd] > nb[p] {
+					nb[p] = nb[nd]
+				}
+			}
+			base := gi * nL
+			for eid := range s.hot {
+				j := base + int(s.hot[eid].link)
+				crossed[j] = int(s.crossed[eid])
+				dropped[j] = int(s.cold[eid].drops)
+				best[j] = nb[s.hot[eid].gtOff>>s.rowShift]
+				if now > 0 {
+					f := s.fluidInt[eid] + s.cum[s.edgeSub[eid]]*(now-s.fluidT[eid])
+					fluid[j] = f / now
+				}
 			}
 		}
 	}
 	total := 0
 	for j := 0; j < nL; j++ {
-		total += len(e.net.OnLink(j))
+		total += len(net.OnLink(j))
 	}
-	res.Links = make([]LinkStats, 0, total)
+	out := make([]LinkStats, 0, total)
 	for j := 0; j < nL; j++ {
-		for _, sr := range e.net.OnLink(j) {
+		for _, sr := range net.OnLink(j) {
 			at := sr.Session*nL + j
 			ls := LinkStats{
 				Link: j, Session: sr.Session,
-				Crossed:             linkCrossed[at],
-				Dropped:             linkDropped[at],
-				FluidRate:           linkFluid[at],
+				Crossed:             crossed[at],
+				Dropped:             dropped[at],
+				FluidRate:           fluid[at],
 				DownstreamReceivers: len(sr.Receivers),
 			}
-			if e.now > 0 {
-				ls.Rate = float64(ls.Crossed) / e.now
-				best := 0.0
-				for _, k := range sr.Receivers {
-					if r := res.ReceiverRates[sr.Session][k]; r > best {
-						best = r
-					}
-				}
-				if best > 0 {
-					ls.Redundancy = ls.Rate / best
+			if now > 0 {
+				ls.Rate = float64(ls.Crossed) / now
+				if best[at] > 0 {
+					ls.Redundancy = ls.Rate / best[at]
 				}
 			}
-			res.Links = append(res.Links, ls)
+			out = append(out, ls)
 		}
 	}
-	e.flushStats(res)
-	return res
+	return out
 }
 
 // MaxReceiverRate returns the largest goodput in the result (a

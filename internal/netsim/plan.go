@@ -31,8 +31,9 @@ type MemoryPlan struct {
 	// separately only so logs read naturally.
 	Subtrees, CutFrontier int
 	// SessionBytes is the sum of every session's slab footprint: the
-	// CSR tree, receiver protocol arrays, subscription rows, and
-	// downstream-receiver lists.
+	// CSR tree, receiver protocol arrays, and subscription rows. The
+	// receivers below an edge are a range of the pre-order receiver
+	// list, so downstream sets cost one int32 per edge.
 	SessionBytes int64
 	// FixedBytes is the per-engine state outside any session: capacity
 	// rows, DropTail queue state, loss tables, transmit calendars, the
@@ -42,7 +43,8 @@ type MemoryPlan struct {
 	// discovery), dead once the engine is built.
 	ScratchBytes int64
 	// ResultBytes is the result-time fold: per-receiver output arrays,
-	// the dense (session, link) scatter rows, and the LinkStats slice.
+	// the dense (session, link) scatter rows, the per-node best-goodput
+	// scratch, and the LinkStats slice.
 	ResultBytes int64
 	// Total is the planned peak: steady state plus the larger of the
 	// construction scratch and the result fold (they are never live
@@ -100,10 +102,12 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 
 	// Per-session slabs: replay the discovery walk with an epoch-stamped
 	// visited array to size each tree (distinct nodes reached by the
-	// session's paths) without building it. Sessions that run alone in
-	// their shard group additionally replay newTreePartition's frontier
-	// policy — same eligibility rules, same guards — so the plan carries
-	// the partition slabs and the subtree counts the engines will build.
+	// session's paths) without building it, one walk per run of
+	// receivers sharing a path (netmodel.Network.PathRun). Sessions that
+	// run alone in their shard group additionally replay
+	// newTreePartition's frontier policy — same eligibility rules, same
+	// guards — so the plan carries the partition slabs and the subtree
+	// counts the engines will build.
 	visited := make([]int32, nn)
 	var cnt, visitB, rootMark, nodesCnt []int32
 	var partFixed, partScratch int64
@@ -125,12 +129,10 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		hasDT := false
 		visited[ns.Sender] = epoch
 		nE := 0
-		sumDepth := 0
-		for k := range ns.Receivers {
+		for k, run := 0, 0; k < len(ns.Receivers); k += run {
+			run = net.PathRun(i, k)
 			cur := ns.Sender
-			path := net.Path(i, k)
-			sumDepth += len(path)
-			for _, j := range path {
+			for _, j := range net.Path(i, k) {
 				nb := g.Other(j, cur)
 				if visited[nb] != epoch {
 					visited[nb] = epoch
@@ -140,7 +142,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 					nE++
 				}
 				if doPart {
-					cnt[nb]++
+					cnt[nb] += int32(run)
 					if cfg.Links[j].Kind == DropTail {
 						hasDT = true
 					}
@@ -167,7 +169,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 			numSub, cutRecv := 0, 0
 			var roots []int32
 			visitB[ns.Sender] = epoch
-			for k := range ns.Receivers {
+			for k := 0; k < len(ns.Receivers); k += net.PathRun(i, k) {
 				cur := ns.Sender
 				root := int32(-1)
 				for _, j := range net.Path(i, k) {
@@ -210,20 +212,17 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 						maxStack = n
 					}
 				}
-				W := cfg.Shards / p.Groups
-				if W < 1 {
-					W = 1
-				}
-				if W > numSub {
-					W = numSub
-				}
 				p.Subtrees += numSub
 				p.CutFrontier += numSub
 				partFixed += 4*int64(treeN) + // subOfNode
 					// subRoot/cutEid/prevRootMax, the per-subtree level
 					// rows, arrivals, and the rng slice + PCG states.
 					int64(numSub)*(12+4*int64(L+1)+24+4+8+64) +
-					int64(W)*(8+4*int64(maxStack)) // per-worker DFS stacks
+					// Per-worker DFS stacks, planned at the widest
+					// setWorkers can reach (one worker per subtree) so
+					// the plan, like the Result, is the same for every
+					// Shards >= 1.
+					int64(numSub)*(8+4*int64(maxStack))
 				partScratch += 8 * int64(treeN) // counts + sizes
 			}
 		}
@@ -232,7 +231,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 			rowShift++
 		}
 		rowLen := treeN << rowShift
-		n32 := 3*nR + (L + 1) + 3*treeN + 2*(treeN+1) + 2*rowLen + 4*nE + 1
+		n32 := 3*nR + (L + 1) + 3*treeN + 2*(treeN+1) + 2*rowLen + 4*nE
 		n64 := nR + 2*nE
 		nf := 2*L + 1 + 2*nE
 		if cfg.LeaveLatency > 0 {
@@ -241,8 +240,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		nb := nR + 2*treeN
 		p.SessionBytes += 4*int64(n32) + 8*int64(n64) + 8*int64(nf) + int64(nb) +
 			8*int64(nR) + // received
-			szHot*int64(nE) + szCold*int64(nE) +
-			4*int64(sumDepth) // downRecv
+			szHot*int64(nE) + szCold*int64(nE)
 		if nE > maxEdges {
 			maxEdges = nE
 		}
@@ -290,16 +288,17 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	// Construction scratch: global-id discovery arrays plus the largest
 	// session's child lists and pre-order worklists; sharded runs build
 	// engines sequentially, so one copy is live at a time.
-	p.ScratchBytes = int64(nn)*(4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 16*int64(maxTreeN) +
+	p.ScratchBytes = int64(nn)*(4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 12*int64(maxTreeN) +
 		partScratch // newTreePartition's counts + sizes accumulators
 
 	// Result fold: per-receiver outputs, the dense (session, link)
-	// scatter rows, and the LinkStats backing.
+	// scatter rows, the per-node best-goodput scratch, and the
+	// LinkStats backing.
 	totalLS := 0
 	for j := 0; j < nL; j++ {
 		totalLS += len(net.OnLink(j))
 	}
-	p.ResultBytes = int64(totR)*(8+8+8) + int64(S)*int64(nL)*(8+8+8) + szLS*int64(totalLS)
+	p.ResultBytes = int64(totR)*(8+8+8) + int64(S)*int64(nL)*(8+8+8+8) + 8*int64(maxTreeN) + szLS*int64(totalLS)
 
 	peakTransient := p.ScratchBytes
 	if p.ResultBytes > peakTransient {

@@ -105,8 +105,7 @@ func sessionGroupsOf(cfg Config) (groupOf []int, numGroups int) {
 	}
 	for i := 0; i < S; i++ {
 		si := int32(nL + i)
-		ns := net.Session(i)
-		for k := range ns.Receivers {
+		for k, nR := 0, net.Session(i).NumReceivers(); k < nR; k += net.PathRun(i, k) {
 			for _, j := range net.Path(i, k) {
 				union(si, int32(j))
 			}
@@ -421,19 +420,13 @@ func mergedResult(cfg Config, engines []*engine, horizon float64) *Result {
 	pktBuf := make([]int, totR)
 	lvlBuf := make([]int, totR)
 	off := 0
-	offOf := make([]int, S)
 	for i := 0; i < S; i++ {
 		nR := net.Session(i).NumReceivers()
-		offOf[i] = off
 		res.ReceiverRates[i] = rateBuf[off : off+nR : off+nR]
 		res.ReceiverPackets[i] = pktBuf[off : off+nR : off+nR]
 		res.FinalLevels[i] = lvlBuf[off : off+nR : off+nR]
 		off += nR
 	}
-	nL := net.NumLinks()
-	linkCrossed := make([]int, S*nL)
-	linkDropped := make([]int, S*nL)
-	linkFluid := make([]float64, S*nL)
 	for _, e := range engines {
 		res.PacketsSent += e.sent
 		res.Events += int64(e.sent) + e.pops
@@ -455,48 +448,9 @@ func mergedResult(cfg Config, engines []*engine, horizon float64) *Result {
 					res.ReceiverRates[gi][k] = float64(n) / horizon
 				}
 			}
-			base := gi * nL
-			for eid := range s.hot {
-				j := base + int(s.hot[eid].link)
-				linkCrossed[j] = int(s.crossed[eid])
-				linkDropped[j] = int(s.cold[eid].drops)
-				if horizon > 0 {
-					fluid := s.fluidInt[eid] + s.cum[s.edgeSub[eid]]*(horizon-s.fluidT[eid])
-					linkFluid[j] = fluid / horizon
-				}
-			}
 		}
 	}
-	total := 0
-	for j := 0; j < nL; j++ {
-		total += len(net.OnLink(j))
-	}
-	res.Links = make([]LinkStats, 0, total)
-	for j := 0; j < nL; j++ {
-		for _, sr := range net.OnLink(j) {
-			at := sr.Session*nL + j
-			ls := LinkStats{
-				Link: j, Session: sr.Session,
-				Crossed:             linkCrossed[at],
-				Dropped:             linkDropped[at],
-				FluidRate:           linkFluid[at],
-				DownstreamReceivers: len(sr.Receivers),
-			}
-			if horizon > 0 {
-				ls.Rate = float64(ls.Crossed) / horizon
-				best := 0.0
-				for _, k := range sr.Receivers {
-					if r := res.ReceiverRates[sr.Session][k]; r > best {
-						best = r
-					}
-				}
-				if best > 0 {
-					ls.Redundancy = ls.Rate / best
-				}
-			}
-			res.Links = append(res.Links, ls)
-		}
-	}
+	res.Links = foldLinkStats(net, engines, horizon, res.ReceiverRates)
 	mergedFlushStats(cfg.Stats, engines, res, horizon)
 	return res
 }

@@ -581,7 +581,7 @@ func (e *engine) walkSubtree(s *sessState, p *treePartition, j int, layer int32,
 			s.cold[eid].drops++
 			// notifyLoss, bounded: an in-subtree edge's downstream
 			// receivers all live in the subtree.
-			for _, k := range s.downRecv[s.downStart[eid]:s.downStart[eid+1]] {
+			for _, k := range s.downstream(eid) {
 				if s.levels[k] > layer {
 					e.congestReceiverSub(s, p, j, int(k), rng)
 				}

@@ -479,6 +479,46 @@ func TestPlanMemoryCountsSubtrees(t *testing.T) {
 	}
 }
 
+// TestPlanMemoryIndependentOfShards: the plan, like the Result, is the
+// same for every Shards >= 1. Worker stacks are planned at the widest
+// fan-out setWorkers can reach, so hosts with many cores (the planetary
+// driver passes Shards = NumCPU) print the same plan line as small
+// ones. The multi-region shape splits Shards across groups, so each
+// value here reaches a different worker count.
+func TestPlanMemoryIndependentOfShards(t *testing.T) {
+	net, firstAccess, err := topology.Planetary(rand.New(rand.NewPCG(7, 7)), topology.PlanetaryOptions{
+		Regions: 4, CoreNodes: 16, PoPs: 48, ReceiversPerPoP: 16, CoreCap: 64, AccessCap: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := lossyCfg(net, rand.New(rand.NewPCG(1, 1)), 1000)
+	explicit.CutLinks = topology.PlanetaryCutFrontier(firstAccess, net.NumLinks())
+	auto, _ := planetaryOneCfg(t, 1000, 1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"planetary-access-cut", explicit}, {"planetary-auto", auto}} {
+		var want *MemoryPlan
+		for _, shards := range []int{1, 2, 16, 1 << 20} {
+			cfg := tc.cfg
+			cfg.Shards = shards
+			plan, err := PlanMemory(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Subtrees == 0 {
+				t.Fatalf("%s Shards=%d: no subtrees planned", tc.name, shards)
+			}
+			if want == nil {
+				want = plan
+			} else if !reflect.DeepEqual(plan, want) {
+				t.Fatalf("%s: plan at Shards=%d\n  %s\ndiffers from Shards=1\n  %s", tc.name, shards, plan, want)
+			}
+		}
+	}
+}
+
 // TestCutLinksValidate pins the CutLinks range check.
 func TestCutLinksValidate(t *testing.T) {
 	cfg := starOfStarsCfg(t, 4, 100, 1)
