@@ -1,0 +1,190 @@
+package netsim
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math"
+	"reflect"
+	"testing"
+
+	"mlfair/internal/protocol"
+	"mlfair/internal/topology"
+)
+
+// resultDigest is a SHA-256 over every Result field: floats by their
+// bits, slices with their lengths, and the ProbeSeries through its
+// accessors (every sample of every receiver and link).
+func resultDigest(r *Result) string {
+	h := sha256.New()
+	d := digester{h: h}
+	d.int(len(r.ReceiverRates))
+	for i := range r.ReceiverRates {
+		d.floats(r.ReceiverRates[i])
+		d.int(len(r.ReceiverPackets[i]))
+		for _, n := range r.ReceiverPackets[i] {
+			d.int(n)
+		}
+		d.int(len(r.FinalLevels[i]))
+		for _, lv := range r.FinalLevels[i] {
+			d.int(lv)
+		}
+	}
+	d.floats(r.MeanLevels)
+	d.int(len(r.Links))
+	for _, ls := range r.Links {
+		d.int(ls.Link)
+		d.int(ls.Session)
+		d.int(ls.Crossed)
+		d.float(ls.Rate)
+		d.float(ls.Redundancy)
+		d.int(ls.DownstreamReceivers)
+		d.int(ls.Dropped)
+		d.float(ls.FluidRate)
+	}
+	d.int(r.PacketsSent)
+	d.float(r.Duration)
+	d.int(int(r.Events))
+	if p := r.Probe; p == nil {
+		d.int(-1)
+	} else {
+		d.int(p.NumSamples())
+		d.int(p.Dropped)
+		d.floats(p.Times)
+		d.floats(p.Starts)
+		d.int(p.NumSessions())
+		d.int(p.NumLinks())
+		for s := 0; s < p.NumSamples(); s++ {
+			for i := 0; i < p.NumSessions(); i++ {
+				d.int(p.NumReceivers(i))
+				for k := 0; k < p.NumReceivers(i); k++ {
+					d.int(p.ReceiverDelivered(i, k, s))
+					d.int(p.Level(i, k, s))
+				}
+			}
+			for j := 0; j < p.NumLinks(); j++ {
+				d.int(p.LinkCrossed(j, s))
+				d.float(p.LinkUtilization(j, s))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+type digester struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (d *digester) int(v int) {
+	binary.LittleEndian.PutUint64(d.buf[:], uint64(int64(v)))
+	d.h.Write(d.buf[:])
+}
+
+func (d *digester) float(v float64) {
+	binary.LittleEndian.PutUint64(d.buf[:], math.Float64bits(v))
+	d.h.Write(d.buf[:])
+}
+
+func (d *digester) floats(vs []float64) {
+	d.int(len(vs))
+	for _, v := range vs {
+		d.float(v)
+	}
+}
+
+// TestResultDigests pins the exact Results of the engine's execution
+// modes — Shards 0, multi-group sharding with and without a time-window
+// probe, and subtree fan-out on the auto and the explicit access-link
+// frontier under every protocol, probed and unprobed — to digests
+// recorded from the engine as it stood before its execution paths were
+// merged. The invariance tests only compare Shards values with each
+// other; these catch a change that moves every mode at once. A planetary
+// tree cut at lossy (Bernoulli) access links and Capacity core links
+// draws loss and capacity coins from the subtree streams, which the
+// committed planetary goldens (cut at Perfect access links) never do.
+func TestResultDigests(t *testing.T) {
+	// resultDigest must see every field: a new one has to be added there.
+	if n := reflect.TypeOf(Result{}).NumField(); n != 9 {
+		t.Fatalf("Result has %d fields; extend resultDigest", n)
+	}
+	if n := reflect.TypeOf(LinkStats{}).NumField(); n != 8 {
+		t.Fatalf("LinkStats has %d fields; extend resultDigest", n)
+	}
+	want := map[string]string{
+		"disjoint/shards=0":                     "38b36571447c746f98dbc44baf926a621a9d6bcd14213bb0fcd4dbe6d7f119e6",
+		"disjoint/shards=0/probed":              "c29b162b32d00f50d1bcb0ec77a89ec304162ed63deed90f39d3fdc3c6d79e20",
+		"disjoint/shards=3":                     "e972c0f8f091ef8d0068d3d641fba4da9a35823d43061d7068e8be051c3a97b0",
+		"disjoint/shards=3/probed":              "a5adc6a063ef6afe11116290e29876e43cc32ecf384617dbdf572215cf657287",
+		"planetary/auto/Coordinated":            "3988648887dcbd5eefa7033ef339ce6f070348e345c6539bb162e8bb1ea578d4",
+		"planetary/auto/Coordinated/probed":     "43c4105e17fcd77df168b3c455c34973e80b2ad0cb0b643bc9f4150269e086dd",
+		"planetary/auto/Uncoordinated":          "c21a9efeef3f44dbf91979181262aca13c6d30638b266de452c7f7e4370b7610",
+		"planetary/auto/Uncoordinated/probed":   "95419a53443504ecf8b6380d2a6b32581c09cad23314e978dadc99448f41556a",
+		"planetary/auto/Deterministic":          "8b42b0560ab95f2ed94e1c4adc9fe40ee7e30cf14293b8d7f649a056df9a88b0",
+		"planetary/auto/Deterministic/probed":   "abe672214003ae9f7e84c7b45c7918dd5a264d1278ac55af11426b400f01f283",
+		"planetary/access/Coordinated":          "e067ea744f625463c98ce01357c40ec746fdcc6305d1706af39553ccf8fb5bb2",
+		"planetary/access/Coordinated/probed":   "bc1cfefff6c556a8901f9e7262269b9446f49a1e20d645a632c49613f6a31a16",
+		"planetary/access/Uncoordinated":        "595ae36a415da1e1ed8e4a21cbd817b1117cc8589d25ec5e37c8d6b96cedf12d",
+		"planetary/access/Uncoordinated/probed": "6ab77c8e666a931572a2a41d938942e289ac8e43f2c8610e9576da113646793b",
+		"planetary/access/Deterministic":        "19d7ff695f70338449a79ec936bee5932349e2b6ed5e2d2207ec09051d2bf469",
+		"planetary/access/Deterministic/probed": "35a15b3d27944cbe6b62a279089d764b93cf6ec19cd097df9fd97391bc1f7d16",
+		"scale-free/depth-2-cut":                "f0a86c5018d3906d556448fc5d3c3d59b73a098d07de58048c0ce39d8180f565",
+	}
+	check := func(name string, cfg Config) {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cfg.Probe != nil && (res.Probe == nil || res.Probe.Dropped == 0) {
+			t.Fatalf("%s: probe ring did not overflow (%+v); the digest would not cover Dropped", name, res.Probe)
+		}
+		if got := resultDigest(res); got != want[name] {
+			t.Errorf("%s: digest %s, want %s", name, got, want[name])
+		}
+		delete(want, name)
+	}
+
+	for _, shards := range []int{0, 3} {
+		for _, probe := range []*ProbeConfig{nil, {Window: 10, MaxSamples: 4}} {
+			cfg := disjointCfg(t, 8, 15000, 5)
+			cfg.Shards, cfg.Probe = shards, probe
+			name := fmt.Sprintf("disjoint/shards=%d", shards)
+			if probe != nil {
+				name += "/probed"
+			}
+			check(name, cfg)
+		}
+	}
+	planetary, firstAccess := planetaryOneCfg(t, 6000, 17)
+	planetary.Shards = 2
+	for _, frontier := range []string{"auto", "access"} {
+		cut := planetary
+		if frontier == "access" {
+			cut.CutLinks = topology.PlanetaryCutFrontier(firstAccess, planetary.Network.NumLinks())
+		}
+		if partitionOf(t, cut) == nil {
+			t.Fatalf("%s frontier declined to cut the planetary tree", frontier)
+		}
+		for _, kind := range protocol.Kinds() {
+			for _, probe := range []*ProbeConfig{nil, {Window: 4, MaxSamples: 8}} {
+				cfg := cut
+				cfg.Sessions = []SessionConfig{{Protocol: kind, Layers: 8}}
+				cfg.Probe = probe
+				name := "planetary/" + frontier + "/" + kind.String()
+				if probe != nil {
+					name += "/probed"
+				}
+				check(name, cfg)
+			}
+		}
+	}
+	sf := scaleFreeCfg(t, 4000, 19)
+	sf.Shards = 2
+	check("scale-free/depth-2-cut", sf)
+	if len(want) != 0 {
+		t.Fatalf("digests never checked: %v", want)
+	}
+}

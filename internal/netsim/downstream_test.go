@@ -40,7 +40,7 @@ func lossyCfg(net *netmodel.Network, rng *rand.Rand, packets int) Config {
 // or a few), a multi-region planetary network (link-disjoint groups
 // whose subtrees are cut at the access links, so sharded runs take the
 // merged result fold), and a scale-free single session cut below depth
-// two (drops inside a fan-out subtree notify from walkSubtree).
+// two (drops inside a fan-out subtree notify on the subtree's walker).
 func downstreamCases(t *testing.T) []struct {
 	name string
 	cfg  Config
@@ -106,7 +106,11 @@ func dfsReceivers(s *sessState, nd int32, out []int32) []int32 {
 func TestDownstreamMatchesOnLink(t *testing.T) {
 	for _, tc := range downstreamCases(t) {
 		net := tc.cfg.Network
-		e, err := newEngine(tc.cfg)
+		all := make([]int, net.NumSessions())
+		for i := range all {
+			all[i] = i
+		}
+		e, err := newEngineFor(tc.cfg, all, tc.cfg.Churn, tc.cfg.Seed)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -162,19 +162,19 @@ type Config struct {
 	// every Result field is bit-identical with stats on or off, and the
 	// counters are flushed once at the end of the run, not per event.
 	Stats *EngineStats
-	// Shards selects the event-loop execution mode. 0 (the default) is
-	// the sequential engine: one event loop, one RNG stream — the
-	// committed-golden code path. Any value >= 1 enables session-sharded
-	// execution: sessions whose multicast trees share no link (computed
-	// by union-find over link sets) run as independent event loops on up
-	// to Shards concurrent goroutines, each with its own calendar and a
-	// per-group RNG stream derived from Seed, merged deterministically at
-	// result time. A group holding one giant session is additionally
-	// decomposed below a cut frontier into link-disjoint subtrees that
-	// fan out across workers (see subtree.go and CutLinks). The Result
-	// is a pure function of the Config alone — every Shards >= 1 yields
-	// the identical Result, so the value only tunes parallelism, never
-	// output.
+	// Shards selects how the run is split. 0 (the default) runs every
+	// session as one group: one event loop and one RNG stream, with no
+	// link-connectivity split and no subtree partition. Any value >= 1
+	// enables session-sharded execution: sessions whose multicast trees
+	// share no link (computed by union-find over link sets) run as
+	// independent event loops on up to Shards concurrent goroutines, each
+	// with its own calendar and a per-group RNG stream derived from Seed,
+	// merged deterministically at result time. A group holding one giant
+	// session is additionally decomposed below a cut frontier into
+	// link-disjoint subtrees that fan out across workers (see subtree.go
+	// and CutLinks). The Result is a pure function of the Config alone —
+	// every Shards >= 1 yields the identical Result, so the value only
+	// tunes parallelism, never output.
 	Shards int
 	// CutLinks, under Shards >= 1, names the links whose tree edges form
 	// the subtree-sharding cut frontier for single-session shard groups
@@ -487,7 +487,9 @@ const (
 	metaWide     uint32 = 1 << 3
 	// metaCut marks a subtree-sharding cut edge (see subtree.go): the
 	// core walk fixes its admission outcome but never descends through
-	// it — the subtree below runs in the parallel fan-out phase.
+	// it — the subtree below runs in the parallel fan-out phase. A cut
+	// edge also carries metaWide and an empty receiver block
+	// (recvHi == recvLo), so the walk's common path never tests metaCut.
 	metaCut uint32 = 1 << 4
 )
 
@@ -502,7 +504,7 @@ type coldEdge struct {
 }
 
 // buildEdge is the construction-time edge seed (global node ids) that
-// newEngine's tree discovery accumulates before the hot/cold split is
+// newEngineFor's tree discovery accumulates before the hot/cold split is
 // laid out in DFS order.
 type buildEdge struct {
 	link, child int32
@@ -709,20 +711,18 @@ func (s *sessState) swapOrder(i, j int32) {
 type engine struct {
 	cfg Config
 	net *netmodel.Network
-	rng *rand.Rand
 	// links holds per-link queue state; allocated only when some spec is
 	// DropTail (the only kind with mutable link state), so the engine's
 	// footprint never scales with raw link count on queue-free networks.
 	links []linkState
 	sess  []sessState
 	// gsess maps the engine's local session index to the network's
-	// global session index. Nil means identity: the engine owns every
-	// session (the sequential path). Sharded group engines own a subset.
-	gsess   []int
-	numSess int
+	// global session index, ascending: every session for a one-group
+	// run, the group's own sessions when the run is sharded.
+	gsess []int
 	// churn is the engine's churn schedule with ChurnEvent.Session
-	// rewritten to local session indices (the sequential engine aliases
-	// cfg.Churn unchanged; group engines carry their filtered slice).
+	// rewritten to local session indices (a one-group run aliases
+	// cfg.Churn unchanged; sharded groups carry their filtered slice).
 	churn []ChurnEvent
 	// capDem packs capacity-admission rows — current fluid demand (sum
 	// over sessions crossing the link of cum[subMax[child]], maintained
@@ -751,8 +751,6 @@ type engine struct {
 
 	q   eventQueue
 	seq uint64
-	// fwdStack is forward's reusable DFS work stack of edge ids.
-	fwdStack []int32
 	// probe is the streaming observation state (nil when off); all its
 	// buffers are preallocated, so the hot path pays one nil check per
 	// event and nothing else.
@@ -795,36 +793,49 @@ type engine struct {
 	popForward, popChurn, popSignal int64
 	ticksFired                      int64
 	heapHW                          int
+
+	// walk is the engine's own walk context: every sequential walk,
+	// receiver transition and event runs on it.
+	walk walker
 }
 
-func newEngine(cfg Config) (*engine, error) {
-	return newEngineFor(cfg, nil, cfg.Churn, cfg.Seed)
+// walker is one worker's walk context: the RNG stream the walk draws
+// from, the tree part its level accounting covers, and its reusable DFS
+// work stack of edge ids. The engine's own walker (sub -1, root 0)
+// covers the whole tree; a subtree fan-out worker re-points its walker
+// at each subtree it walks (see subtree.go), so the one forward walk
+// and the one set of receiver handlers serve both.
+type walker struct {
+	rng *rand.Rand
+	// sub is the subtree whose level-accounting row a level change lands
+	// in, -1 for the session's own row; root is the node where level
+	// propagation stops: the sender, or the subtree root (the cut edge
+	// above it is the rollup's).
+	sub, root int32
+	stack     []int32
+	// A cache line after the hot fields keeps the walkers of different
+	// workers off each other's lines.
+	_ [64]byte
 }
 
 // newEngineFor builds an engine that owns a subset of the network's
 // sessions. sessIDs lists the owned sessions by global index in
-// ascending order (nil means all of them — the sequential path, which
-// must stay exactly the historical engine); churn is the schedule with
-// ChurnEvent.Session already rewritten to local indices (the caller
-// filters it for group engines); seed feeds the engine's private PCG
-// stream. Everything the engine allocates is sized by its own sessions'
-// trees, so disjoint group engines partition — not duplicate — the
-// sequential engine's memory.
+// ascending order (every session for a one-group run); churn is the
+// schedule with ChurnEvent.Session already rewritten to local indices
+// (the caller filters it for sharded groups); seed feeds the engine's
+// private PCG stream. Everything the engine allocates is sized by its
+// own sessions' trees, so disjoint group engines partition — not
+// duplicate — the one-group engine's memory.
 func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*engine, error) {
 	net := cfg.Network
 	g := net.Graph()
-	numSess := net.NumSessions()
-	if sessIDs != nil {
-		numSess = len(sessIDs)
-	}
 	e := &engine{
-		cfg:     cfg,
-		net:     net,
-		rng:     rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		sess:    make([]sessState, numSess),
-		gsess:   sessIDs,
-		churn:   churn,
-		numSess: numSess,
+		cfg:   cfg,
+		net:   net,
+		sess:  make([]sessState, len(sessIDs)),
+		gsess: sessIDs,
+		churn: churn,
+		walk:  walker{rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), sub: -1},
 	}
 	e.leaveLatency = cfg.LeaveLatency
 	// One pass over the specs decides which per-link structures exist at
@@ -890,10 +901,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	maxEdges := 0
 	e.txCal = make([]float64, len(e.sess))
 	for li := range e.sess {
-		gi := li
-		if sessIDs != nil {
-			gi = sessIDs[li]
-		}
+		gi := sessIDs[li]
 		ns := net.Session(gi)
 		sc := cfg.Sessions[gi]
 		m := int32(sc.Layers)
@@ -1135,8 +1143,8 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		// machinery the run uses (joins bubble up, order buckets and
 		// link demand update as a side effect).
 		for k := range s.levels {
-			e.applyLevelChange(s, k, 1)
-			e.armReceiver(s, k, 1)
+			e.applyLevelChange(s, &e.walk, k, 1)
+			e.armReceiver(s, &e.walk, k, 1)
 		}
 		if nEdges > maxEdges {
 			maxEdges = nEdges
@@ -1145,7 +1153,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	// The DFS work stack can hold at most one entry per tree edge;
 	// reserving the worst case up front keeps the walk append-free for
 	// the whole run (part of the PlanMemory no-growth contract).
-	e.fwdStack = make([]int32, 0, maxEdges)
+	e.walk.stack = make([]int32, 0, maxEdges)
 
 	e.calUniform = len(e.sess) > 0
 	for i := 1; i < len(e.sess); i++ {
@@ -1176,10 +1184,10 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		e.probe = newProbeState(cfg.Probe, e)
 	}
 	// Intra-session subtree decomposition: only for sharded group engines
-	// (sessIDs non-nil — the sequential path stays exactly the historical
-	// engine) holding a single session. Eligibility and the frontier are
-	// pure functions of the Config, never of Shards' value or core count.
-	if cfg.Shards > 0 && sessIDs != nil && len(e.sess) == 1 {
+	// holding a single session (Shards == 0 never partitions).
+	// Eligibility and the frontier are pure functions of the Config,
+	// never of Shards' value or core count.
+	if cfg.Shards > 0 && len(e.sess) == 1 {
 		e.part = newTreePartition(e, &e.sess[0], seed)
 	}
 	return e, nil
@@ -1194,25 +1202,37 @@ func (e *engine) push(ev event) {
 	}
 }
 
-// applyLevelChange records receiver k's new subscription level and
-// propagates the contribution change up the session tree: per ancestor
-// it is one counting-bucket bump; propagation stops at the first node
-// whose maximum does not move. Nodes whose maximum does move are
-// re-bucketed in their parent's child ordering and their parent link's
-// fluid demand is adjusted by the cumulative-rate delta.
-func (e *engine) applyLevelChange(s *sessState, k int, nl int32) {
+// applyLevelChange records receiver k's new subscription level in w's
+// accounting row and propagates the contribution change up the session
+// tree: per ancestor it is one counting-bucket bump; propagation stops
+// at the first node whose maximum does not move, or at w's root. Nodes
+// whose maximum does move are re-bucketed in their parent's child
+// ordering and their parent link's fluid demand is adjusted by the
+// cumulative-rate delta.
+func (e *engine) applyLevelChange(s *sessState, w *walker, k int, nl int32) {
 	a := s.levels[k]
 	if nl == a {
 		return
 	}
-	s.levelInt += float64(s.sumLevel) * (e.now - s.levelT)
-	s.levelT = e.now
-	s.sumLevel += int64(nl - a)
 	s.levels[k] = nl
-	s.nAtLevel[a]--
-	s.nAtLevel[nl]++
-	e.propagateFrom(s, s.recvNode[k], a, nl)
-	if p := e.part; p != nil {
+	if j := w.sub; j < 0 {
+		s.levelInt += float64(s.sumLevel) * (e.now - s.levelT)
+		s.levelT = e.now
+		s.sumLevel += int64(nl - a)
+		s.nAtLevel[a]--
+		s.nAtLevel[nl]++
+	} else {
+		// A fan-out walk: the subtree's own row, contention-free.
+		p := e.part
+		p.levelInt[j] += float64(p.sumLevel[j]) * (e.now - p.levelT[j])
+		p.levelT[j] = e.now
+		p.sumLevel[j] += int64(nl - a)
+		row := j * p.mrow
+		p.nAtLevel[row+a]--
+		p.nAtLevel[row+nl]++
+	}
+	e.propagateFrom(s, w, s.recvNode[k], a, nl)
+	if p := e.part; p != nil && w.sub < 0 {
 		// Sequential-phase changes (churn, signals, core-walk drops)
 		// propagate straight through cut edges; re-sync the owning
 		// subtree's rollup snapshot so the deferred path stays coherent.
@@ -1224,8 +1244,9 @@ func (e *engine) applyLevelChange(s *sessState, k int, nl int32) {
 
 // propagateFrom bubbles a contribution change (level a -> b) at node nd
 // up the session tree: per ancestor it is one counting-bucket bump;
-// propagation stops at the first node whose maximum does not move.
-func (e *engine) propagateFrom(s *sessState, nd, a, b int32) {
+// propagation stops at the first node whose maximum does not move, or
+// once w's root has taken the change.
+func (e *engine) propagateFrom(s *sessState, w *walker, nd, a, b int32) {
 	for {
 		om := s.subMax[nd]
 		var nm int32
@@ -1257,16 +1278,19 @@ func (e *engine) propagateFrom(s *sessState, nd, a, b int32) {
 			return
 		}
 		s.subMax[nd] = nm
-		eid := s.parentEdge[nd]
-		if eid < 0 {
-			return // reached the session root
+		if nd == w.root {
+			return // the session root, or a subtree root (rollupSubtree's)
 		}
+		eid := s.parentEdge[nd]
 		s.fluidInt[eid] += s.cum[om] * (e.now - s.fluidT[eid])
 		s.fluidT[eid] = e.now
 		s.edgeSub[eid] = nm
 		if e.trackDemand {
-			// Non-Capacity edges alias the write-only sentinel row.
-			e.capDem[s.hot[eid].capIdx].dem += s.cum[nm] - s.cum[om]
+			// Non-Capacity edges alias the write-only sentinel row, which
+			// fan-out walks share and so leave alone.
+			if ci := s.hot[eid].capIdx; w.sub < 0 || ci != e.capSentinel {
+				e.capDem[ci].dem += s.cum[nm] - s.cum[om]
+			}
 		}
 		if s.linger != nil && nm < om {
 			// Layers nm..om-1 just lost their last subscriber below this
@@ -1288,12 +1312,12 @@ func (e *engine) propagateFrom(s *sessState, nd, a, b int32) {
 
 // armReceiver re-arms receiver k's join logic at level lv — the engine
 // inlining of protocol.Receiver.resetEventState.
-func (e *engine) armReceiver(s *sessState, k int, lv int32) {
+func (e *engine) armReceiver(s *sessState, w *walker, k int, lv int32) {
 	switch s.cfg.Protocol {
 	case protocol.Deterministic:
 		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
 	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(e.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
+		s.countdown[k] = int64(protocol.SampleGeometric(w.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
 	case protocol.Coordinated:
 		s.clean[k] = true
 	}
@@ -1301,51 +1325,56 @@ func (e *engine) armReceiver(s *sessState, k int, lv int32) {
 
 // joinReceiver adds one layer to receiver k (bounded by M) and re-arms
 // its join state — protocol.Receiver.join.
-func (e *engine) joinReceiver(s *sessState, k int) {
+func (e *engine) joinReceiver(s *sessState, w *walker, k int) {
 	lv := s.levels[k]
 	if lv < s.m {
 		lv++
-		e.applyLevelChange(s, k, lv)
+		e.applyLevelChange(s, w, k, lv)
 	}
-	e.armReceiver(s, k, lv)
+	e.armReceiver(s, w, k, lv)
 }
 
 // congestReceiver applies a congestion observation to receiver k: leave
 // the top joined layer (unless only the base layer is joined) and
 // re-arm — protocol.Receiver.OnCongestion.
-func (e *engine) congestReceiver(s *sessState, k int) {
+func (e *engine) congestReceiver(s *sessState, w *walker, k int) {
 	lv := s.levels[k]
 	if lv > 1 {
 		lv--
-		e.applyLevelChange(s, k, lv)
+		e.applyLevelChange(s, w, k, lv)
 	}
 	s.clean[k] = false // a Coordinated receiver must wait for a clean window
 	switch s.cfg.Protocol {
 	case protocol.Deterministic:
 		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
 	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(e.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
+		s.countdown[k] = int64(protocol.SampleGeometric(w.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
 	}
 }
 
 // forward drains one packet through the session tree from node at time
-// t: one fused, allocation-free loop over a reusable work stack of edge
-// ids. Per hop it reads the 32-byte hot edge record (admission class,
-// the entered node's receiver and child blocks), decides admission
-// inline (Perfect/Bernoulli/Capacity; DropTail goes through the queue
-// model and schedules a continuation event at its exit time), delivers
-// to the subscribed receivers, then tail-descends into the first
-// eligible child, pushing only the remaining siblings.
+// t on walk context w: one fused, allocation-free loop over w's work
+// stack of edge ids. Per hop it reads the 32-byte hot edge record
+// (admission class, the entered node's receiver and child blocks),
+// decides admission inline (Perfect/Bernoulli/Capacity; DropTail goes
+// through the queue model and schedules a continuation event at its
+// exit time), delivers to the subscribed receivers, then tail-descends
+// into the first eligible child, pushing only the remaining siblings.
+// A packet admitted on a subtree cut edge (metaCut) is not descended
+// but recorded as an arrival for the fan-out phase: the core prefix of
+// a partitioned tree is this walk from the sender, and each subtree's
+// walk is this walk from its root on the subtree's context (subtree.go).
+// A cut edge's record reads as a wide edge with no receivers, so only
+// the wide branch, taken at hub edges alone, has to test for it.
 //
 // Eligibility snapshots before descent: sibling subtrees are disjoint,
 // so processing one cannot change another's subtree maximum, and level
 // changes triggered by a delivery only re-bucket nodes on the path to
 // the root — never the entered node's own children.
-func (e *engine) forward(s *sessState, layer, node int32, t float64) {
+func (e *engine) forward(s *sessState, w *walker, layer, node int32, t float64) {
 	countJoins := s.cfg.Protocol != protocol.Coordinated
 	// Entry node: deliver to its receivers, then seed the walk with its
-	// eligible children (in bucket order: first directly, rest pushed in
-	// reverse).
+	// eligible children.
 	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
 		k := s.recvList[x]
 		if s.levels[k] > layer { // departed receivers sit at level 0
@@ -1353,32 +1382,20 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 			if countJoins {
 				s.countdown[k]--
 				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, int(k))
+					e.joinReceiver(s, w, int(k))
 				}
 			}
 		}
 	}
 	if s.lossOnly {
-		e.forwardLossOnly(s, layer, node, countJoins)
+		e.forwardLossOnly(s, w, layer, node, countJoins)
 		return
 	}
 	if s.capOnly {
-		e.forwardCapOnly(s, layer, node, countJoins)
+		e.forwardCapOnly(s, w, layer, node, countJoins)
 		return
 	}
-	st := e.fwdStack[:0]
-	if s.wide[node] {
-		base := s.edgeStart[node]
-		for p := s.gt[(node<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[base+p])
-		}
-	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
+	st := s.pushEligible(w.stack[:0], node, layer)
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1400,7 +1417,7 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 				// protocol.SampleGeometricInv, textually inlined (the
 				// call costs ~2% on loss-heavy walks; the property
 				// suite pins the equivalence draw for draw).
-				u := e.rng.Float64()
+				u := w.rng.Float64()
 				if u <= 0 {
 					u = math.SmallestNonzeroFloat64
 				}
@@ -1421,13 +1438,13 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 			if int(layer) < len(ll) {
 				p = ll[layer]
 			}
-			dropped = p > 0 && e.rng.Float64() < p
+			dropped = p > 0 && w.rng.Float64() < p
 		case ekCapacity:
 			// Drop with probability (d-c)/d; comparing r*d < d-c avoids
 			// the division on the admission fast path.
 			cd := &e.capDem[ed.capIdx]
 			d := cd.dem + cd.bg
-			dropped = d > cd.cap && e.rng.Float64()*d < d-cd.cap
+			dropped = d > cd.cap && w.rng.Float64()*d < d-cd.cap
 		default: // ekDropTail
 			exit, drop := e.links[ed.link].admitQueue(t)
 			if drop {
@@ -1441,7 +1458,7 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 		}
 		if dropped {
 			s.cold[eid].drops++
-			e.notifyLoss(s, layer, eid)
+			e.notifyLoss(s, w, layer, eid)
 			continue
 		}
 		// Deliver to the entered node's receivers.
@@ -1452,7 +1469,7 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 				if countJoins {
 					s.countdown[k]--
 					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
+						e.joinReceiver(s, w, int(k))
 					}
 				}
 			}
@@ -1460,6 +1477,10 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 		// Expand the entered node's eligible children and tail-descend
 		// into the first one (in the same order the stack would yield).
 		if ed.meta&metaWide != 0 {
+			if ed.meta&metaCut != 0 {
+				e.part.arrive(ed.gtOff >> s.rowShift)
+				continue
+			}
 			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
 				cb := ed.edgeLo
 				for p := cn - 1; p >= 1; p-- {
@@ -1484,7 +1505,28 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 			}
 		}
 	}
-	e.fwdStack = st[:0]
+	w.stack = st[:0]
+}
+
+// pushEligible seeds a walk at node nd: it pushes the children that
+// want the layer in reverse of the order the walk visits them (wide
+// nodes: the counting-sorted bucket prefix; narrow nodes: dense edge
+// order), so they pop in that order. It runs once per packet and is
+// small enough for the compiler to inline.
+func (s *sessState) pushEligible(st []int32, nd, layer int32) []int32 {
+	lo := s.edgeStart[nd]
+	if s.wide[nd] {
+		for p := s.gt[(nd<<s.rowShift)+layer] - 1; p >= 0; p-- {
+			st = append(st, s.order[lo+p])
+		}
+	} else {
+		for ceid := s.edgeStart[nd+1] - 1; ceid >= lo; ceid-- {
+			if s.edgeSub[ceid] > layer {
+				st = append(st, ceid)
+			}
+		}
+	}
+	return st
 }
 
 // forwardLossOnly is forward's walk for sessions whose tree carries
@@ -1492,20 +1534,8 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 // setting and the common large-topology scenario — with the admission
 // switch compiled out: an edge either always admits or runs the
 // geometric gap counter. Behavior is identical to the generic walk.
-func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins bool) {
-	st := e.fwdStack[:0]
-	if s.wide[node] {
-		base := s.edgeStart[node]
-		for p := s.gt[(node<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[base+p])
-		}
-	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
+func (e *engine) forwardLossOnly(s *sessState, w *walker, layer, node int32, countJoins bool) {
+	st := s.pushEligible(w.stack[:0], node, layer)
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1517,10 +1547,9 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 		if ed.meta&metaKindMask != 0 {
 			gap := s.lossGap[eid]
 			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined (the
-				// call costs ~2% on loss-heavy walks; the property
-				// suite pins the equivalence draw for draw).
-				u := e.rng.Float64()
+				// protocol.SampleGeometricInv, textually inlined (see
+				// forward).
+				u := w.rng.Float64()
 				if u <= 0 {
 					u = math.SmallestNonzeroFloat64
 				}
@@ -1533,7 +1562,7 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 			s.lossGap[eid] = gap
 			if gap == 0 {
 				s.cold[eid].drops++
-				e.notifyLoss(s, layer, eid)
+				e.notifyLoss(s, w, layer, eid)
 				continue
 			}
 		}
@@ -1544,12 +1573,16 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 				if countJoins {
 					s.countdown[k]--
 					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
+						e.joinReceiver(s, w, int(k))
 					}
 				}
 			}
 		}
 		if ed.meta&metaWide != 0 {
+			if ed.meta&metaCut != 0 {
+				e.part.arrive(ed.gtOff >> s.rowShift)
+				continue
+			}
 			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
 				cb := ed.edgeLo
 				for p := cn - 1; p >= 1; p-- {
@@ -1574,7 +1607,7 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 			}
 		}
 	}
-	e.fwdStack = st[:0]
+	w.stack = st[:0]
 }
 
 // forwardCapOnly is forward's walk for sessions whose tree carries
@@ -1583,20 +1616,8 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 // narrowed to one branch: an edge either always admits or runs the
 // fluid-overload coin against its packed capDem row. Behavior is
 // identical to the generic walk.
-func (e *engine) forwardCapOnly(s *sessState, layer, node int32, countJoins bool) {
-	st := e.fwdStack[:0]
-	if s.wide[node] {
-		base := s.edgeStart[node]
-		for p := s.gt[(node<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[base+p])
-		}
-	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
+func (e *engine) forwardCapOnly(s *sessState, w *walker, layer, node int32, countJoins bool) {
+	st := s.pushEligible(w.stack[:0], node, layer)
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1608,9 +1629,9 @@ func (e *engine) forwardCapOnly(s *sessState, layer, node int32, countJoins bool
 		if ed.meta&metaKindMask != 0 {
 			cd := &e.capDem[ed.capIdx]
 			d := cd.dem + cd.bg
-			if d > cd.cap && e.rng.Float64()*d < d-cd.cap {
+			if d > cd.cap && w.rng.Float64()*d < d-cd.cap {
 				s.cold[eid].drops++
-				e.notifyLoss(s, layer, eid)
+				e.notifyLoss(s, w, layer, eid)
 				continue
 			}
 		}
@@ -1621,12 +1642,16 @@ func (e *engine) forwardCapOnly(s *sessState, layer, node int32, countJoins bool
 				if countJoins {
 					s.countdown[k]--
 					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
+						e.joinReceiver(s, w, int(k))
 					}
 				}
 			}
 		}
 		if ed.meta&metaWide != 0 {
+			if ed.meta&metaCut != 0 {
+				e.part.arrive(ed.gtOff >> s.rowShift)
+				continue
+			}
 			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
 				cb := ed.edgeLo
 				for p := cn - 1; p >= 1; p-- {
@@ -1651,29 +1676,30 @@ func (e *engine) forwardCapOnly(s *sessState, layer, node int32, countJoins bool
 			}
 		}
 	}
-	e.fwdStack = st[:0]
+	w.stack = st[:0]
 }
 
-// dispatch routes one packet into the session tree, picking the walk
-// variant: sessions under a leave-latency regime take forwardLinger
-// (which must also run when nothing is subscribed, to meter lingering
-// crossings); everything else takes the optimized forward.
+// dispatch routes one delayed packet into the session tree on the
+// engine's own walk context, picking the walk variant: sessions under
+// a leave-latency regime take forwardLinger (which must also run when
+// nothing is subscribed, to meter lingering crossings); everything
+// else takes the optimized forward.
 func (e *engine) dispatch(s *sessState, layer, node int32, t float64) {
 	if s.linger != nil {
-		e.forwardLinger(s, layer, node, t)
+		e.forwardLinger(s, &e.walk, layer, node, t)
 		return
 	}
-	e.forward(s, layer, node, t)
+	e.forward(s, &e.walk, layer, node, t)
 }
 
 // pushEligibleLinger seeds/extends the linger walk at node nd: it
-// pushes nd's subscribed children in reverse of the exact enumeration
-// order forward uses (wide nodes: the counting-sorted bucket prefix;
-// narrow nodes: dense ceid order), so the DFS order of subscribed-edge
-// crossings — and hence every RNG draw — is identical to the plain
-// walk's. Unsubscribed children inside an open linger window count a
-// crossing inline: they deliver nothing and draw no randomness, so
-// their position in the iteration is immaterial.
+// pushes nd's subscribed children exactly as pushEligible does (copied,
+// not called: it runs once per hop, where a second call costs ~10% on
+// leave-latency sweeps), so the DFS order of subscribed-edge crossings
+// — and hence every RNG draw — is identical to the plain walk's.
+// Unsubscribed children inside an open linger window count a crossing
+// inline: they deliver nothing and draw no randomness, so their
+// position in the iteration is immaterial.
 func (s *sessState) pushEligibleLinger(st []int32, nd, layer int32, t float64) []int32 {
 	lo, hi := s.edgeStart[nd], s.edgeStart[nd+1]
 	if s.wide[nd] {
@@ -1701,8 +1727,9 @@ func (s *sessState) pushEligibleLinger(st []int32, nd, layer int32, t float64) [
 // window is open — consuming bandwidth, delivering nothing, observing
 // no losses, and drawing no randomness. Subscribed edges are visited in
 // forward's exact DFS order (see pushEligibleLinger), so receiver
-// dynamics are identical to the latency-0 run at equal seed.
-func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
+// dynamics are identical to the latency-0 run at equal seed. Linger
+// trees are never partitioned, so no edge here is a cut edge.
+func (e *engine) forwardLinger(s *sessState, w *walker, layer, node int32, t float64) {
 	countJoins := s.cfg.Protocol != protocol.Coordinated
 	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
 		k := s.recvList[x]
@@ -1711,12 +1738,12 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 			if countJoins {
 				s.countdown[k]--
 				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, int(k))
+					e.joinReceiver(s, w, int(k))
 				}
 			}
 		}
 	}
-	st := s.pushEligibleLinger(e.fwdStack[:0], node, layer, t)
+	st := s.pushEligibleLinger(w.stack[:0], node, layer, t)
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1728,10 +1755,9 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 		case ekBernoulli:
 			gap := s.lossGap[eid]
 			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined (the
-				// call costs ~2% on loss-heavy walks; the property
-				// suite pins the equivalence draw for draw).
-				u := e.rng.Float64()
+				// protocol.SampleGeometricInv, textually inlined (see
+				// forward).
+				u := w.rng.Float64()
 				if u <= 0 {
 					u = math.SmallestNonzeroFloat64
 				}
@@ -1749,11 +1775,11 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 			if int(layer) < len(ll) {
 				p = ll[layer]
 			}
-			dropped = p > 0 && e.rng.Float64() < p
+			dropped = p > 0 && w.rng.Float64() < p
 		case ekCapacity:
 			cd := &e.capDem[ed.capIdx]
 			d := cd.dem + cd.bg
-			dropped = d > cd.cap && e.rng.Float64()*d < d-cd.cap
+			dropped = d > cd.cap && w.rng.Float64()*d < d-cd.cap
 		default: // ekDropTail
 			exit, drop := e.links[ed.link].admitQueue(t)
 			if drop {
@@ -1767,7 +1793,7 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 		}
 		if dropped {
 			s.cold[eid].drops++
-			e.notifyLoss(s, layer, eid)
+			e.notifyLoss(s, w, layer, eid)
 			continue
 		}
 		for x := ed.recvLo; x < ed.recvHi; x++ {
@@ -1777,14 +1803,14 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 				if countJoins {
 					s.countdown[k]--
 					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
+						e.joinReceiver(s, w, int(k))
 					}
 				}
 			}
 		}
 		st = s.pushEligibleLinger(st, ed.gtOff>>s.rowShift, layer, t)
 	}
-	e.fwdStack = st[:0]
+	w.stack = st[:0]
 }
 
 // notifyLoss delivers a congestion observation to every subscribed
@@ -1793,10 +1819,10 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 // The downstream receiver set of an edge is static topology, a range of
 // recvList in the same DFS order the subtree walk would visit —
 // subscribed receivers are exactly those above the layer.
-func (e *engine) notifyLoss(s *sessState, layer, eid int32) {
+func (e *engine) notifyLoss(s *sessState, w *walker, layer, eid int32) {
 	for _, k := range s.downstream(eid) {
 		if s.levels[k] > layer {
-			e.congestReceiver(s, int(k))
+			e.congestReceiver(s, w, int(k))
 		}
 	}
 }
@@ -1807,14 +1833,16 @@ func (e *engine) applyChurn(ev ChurnEvent) {
 	switch {
 	case ev.Join && s.levels[k] == 0:
 		// A rejoining receiver starts fresh at the base layer.
-		e.applyLevelChange(s, k, 1)
-		e.armReceiver(s, k, 1)
+		e.applyLevelChange(s, &e.walk, k, 1)
+		e.armReceiver(s, &e.walk, k, 1)
 	case !ev.Join && s.levels[k] > 0:
-		e.applyLevelChange(s, k, 0)
+		e.applyLevelChange(s, &e.walk, k, 0)
 	}
 }
 
-// Run executes one simulation.
+// Run executes one simulation: the sessions run as one group, or under
+// Shards >= 1 as link-disjoint groups on their own engines (shard.go),
+// and the groups fold into one Result.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -1828,14 +1856,17 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("netsim: memory plan %d bytes exceeds MemBudget %d", plan.Total, cfg.MemBudget)
 		}
 	}
-	if cfg.Shards > 0 {
-		return runSharded(cfg)
-	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for e.sent < cfg.Packets {
+	return runGroups(cfg)
+}
+
+// run is the engine's main loop: it fires sender transmissions up to
+// budget — the whole Packets budget for a one-group run, the group's
+// share of it otherwise — running every scheduled event that precedes
+// each calendar tick first. On a partitioned engine each transmission
+// walks the core prefix and then fans out across the subtrees it
+// reached.
+func (e *engine) run(budget int) {
+	for e.sent < budget {
 		// Next sender transmission: the lowest-index session holding the
 		// earliest calendar entry. With a uniform calendar that is the
 		// round-robin cursor (see calUniform); otherwise scan.
@@ -1846,48 +1877,19 @@ func Run(cfg Config) (*Result, error) {
 			ts = e.txCal[si]
 		} else {
 			ts = math.Inf(1)
-			si = -1
 			for i, tx := range e.txCal {
 				if tx < ts {
 					ts = tx
 					si = i
 				}
 			}
-			if si < 0 {
-				// No sessions can ever transmit (zero-session network).
-				return nil, fmt.Errorf("netsim: event queue drained before packet budget")
-			}
 		}
-		// Scheduled events run first: anything strictly earlier than the
-		// next transmission, plus same-instant packet events (delayed
-		// deliveries, churn). Signals yield to same-instant packets,
-		// reproducing sim's strict-inequality signal clock.
-		for len(e.q.a) > 0 {
-			top := &e.q.a[0]
-			if top.time > ts || (top.time == ts && top.key >= prioSignal) {
-				break
-			}
-			ev := e.q.pop()
-			if e.probe != nil {
-				e.probe.advanceTime(e, ev.time)
-			}
-			e.now = ev.time
-			e.pops++
-			switch ev.kind {
-			case evForward:
-				e.popForward++
-				e.dispatch(&e.sess[ev.sess], ev.layer, ev.node, e.now)
-			case evChurn:
-				e.popChurn++
-				e.applyChurn(e.churn[ev.node])
-			case evSignal:
-				e.popSignal++
-				e.signal()
-			}
+		if len(e.q.a) > 0 && e.q.a[0].time <= ts {
+			e.popThrough(ts) // skipped, call and all, when nothing is due
 		}
 		// Fire every layer due at this tick — the contiguous range given
 		// by the tick's trailing zeros — layer-ascending, stopping
-		// exactly at the packet budget.
+		// exactly at the budget.
 		if e.probe != nil {
 			e.probe.advanceTime(e, ts)
 		}
@@ -1898,14 +1900,17 @@ func Run(cfg Config) (*Result, error) {
 		if lo <= 1 {
 			lo = 0 // layer 0 shares layer 1's period
 		}
-		for l := lo; l < s.m && e.sent < cfg.Packets; l++ {
+		for l := lo; l < s.m && e.sent < budget; l++ {
 			e.sent++
 			if s.linger != nil {
 				// Linger sessions walk even when nothing subscribes: a
 				// pending leave still meters crossings on the root edges.
-				e.forwardLinger(s, l, 0, ts)
+				e.forwardLinger(s, &e.walk, l, 0, ts)
 			} else if s.subMax[0] > l {
-				e.forward(s, l, 0, ts)
+				e.forward(s, &e.walk, l, 0, ts)
+				if e.part != nil {
+					e.fanOut(s, l)
+				}
 			}
 			if e.probe != nil {
 				e.probe.advancePackets(e, ts)
@@ -1920,7 +1925,36 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	return e.result(), nil
+}
+
+// popThrough runs the scheduled events that precede a transmission at
+// ts: everything strictly earlier, plus same-instant packet events
+// (delayed deliveries, churn). Signals yield to same-instant packets,
+// reproducing sim's strict-inequality signal clock.
+func (e *engine) popThrough(ts float64) {
+	for len(e.q.a) > 0 {
+		top := &e.q.a[0]
+		if top.time > ts || (top.time == ts && top.key >= prioSignal) {
+			break
+		}
+		ev := e.q.pop()
+		if e.probe != nil {
+			e.probe.advanceTime(e, ev.time)
+		}
+		e.now = ev.time
+		e.pops++
+		switch ev.kind {
+		case evForward:
+			e.popForward++
+			e.dispatch(&e.sess[ev.sess], ev.layer, ev.node, e.now)
+		case evChurn:
+			e.popChurn++
+			e.applyChurn(e.churn[ev.node])
+		case evSignal:
+			e.popSignal++
+			e.signal()
+		}
+	}
 }
 
 // signal drives the global Coordinated join clock: one nested signal
@@ -1951,7 +1985,7 @@ func (e *engine) signal() {
 				continue
 			}
 			if s.clean[k] {
-				e.joinReceiver(s, k)
+				e.joinReceiver(s, &e.walk, k)
 			} else {
 				// Missed opportunity; the next window starts now.
 				s.clean[k] = true
@@ -1959,59 +1993,6 @@ func (e *engine) signal() {
 		}
 	}
 	e.push(event{time: e.now + e.signalPeriod, key: prioSignal, kind: evSignal})
-}
-
-func (e *engine) result() *Result {
-	if e.probe != nil {
-		e.probe.finish(e)
-	}
-	res := &Result{
-		ReceiverRates:   make([][]float64, len(e.sess)),
-		ReceiverPackets: make([][]int, len(e.sess)),
-		FinalLevels:     make([][]int, len(e.sess)),
-		MeanLevels:      make([]float64, len(e.sess)),
-		PacketsSent:     e.sent,
-		Duration:        e.now,
-		Events:          int64(e.sent) + e.pops,
-	}
-	if e.probe != nil {
-		res.Probe = e.probe.series(e)
-	}
-	// Per-receiver outputs are subslices of three flat backings (the
-	// [][] shape is API; the allocation count need not scale with
-	// sessions).
-	totR := 0
-	for i := range e.sess {
-		totR += len(e.sess[i].received)
-	}
-	rateBuf := make([]float64, totR)
-	pktBuf := make([]int, totR)
-	lvlBuf := make([]int, totR)
-	for i := range e.sess {
-		s := &e.sess[i]
-		for _, n := range s.crossed {
-			res.Events += n
-		}
-		if e.now > 0 && len(s.received) > 0 {
-			levelInt := e.sessionLevelIntegral(s, e.now)
-			res.MeanLevels[i] = levelInt / e.now / float64(len(s.received))
-		}
-		nR := len(s.received)
-		res.ReceiverRates[i], rateBuf = rateBuf[:nR:nR], rateBuf[nR:]
-		res.ReceiverPackets[i], pktBuf = pktBuf[:nR:nR], pktBuf[nR:]
-		res.FinalLevels[i], lvlBuf = lvlBuf[:nR:nR], lvlBuf[nR:]
-		for k, n := range s.received {
-			res.ReceiverPackets[i][k] = n
-			res.FinalLevels[i][k] = int(s.levels[k])
-			res.Events += int64(n)
-			if e.now > 0 {
-				res.ReceiverRates[i][k] = float64(n) / e.now
-			}
-		}
-	}
-	res.Links = foldLinkStats(e.net, []*engine{e}, e.now, res.ReceiverRates)
-	e.flushStats(res)
-	return res
 }
 
 // foldLinkStats folds the engines' edge-indexed counters back to
@@ -2041,10 +2022,7 @@ func foldLinkStats(net *netmodel.Network, engines []*engine, now float64, rates 
 	for _, e := range engines {
 		for li := range e.sess {
 			s := &e.sess[li]
-			gi := li
-			if e.gsess != nil {
-				gi = e.gsess[li]
-			}
+			gi := e.gsess[li]
 			nb := nodeBest[:len(s.subMax)]
 			clear(nb)
 			for k, r := range rates[gi] {

@@ -19,8 +19,8 @@ import (
 // caller already built to produce the Config.
 type MemoryPlan struct {
 	// Receivers, Links, Sessions summarize the topology the plan was
-	// computed for; Groups is the number of independent engines (1
-	// sequential, the link-connectivity component count when sharded).
+	// computed for; Groups is the number of independent engines (1 at
+	// Shards == 0, the link-connectivity component count when sharded).
 	Receivers, Links, Sessions, Groups int
 	// Subtrees is the total intra-session subtree count across every
 	// group engine that decomposes its single session's tree (see
@@ -143,7 +143,8 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 				}
 				if doPart {
 					cnt[nb] += int32(run)
-					if cfg.Links[j].Kind == DropTail {
+					// Nil Links means every link is Perfect.
+					if cfg.Links != nil && cfg.Links[j].Kind == DropTail {
 						hasDT = true
 					}
 				}
@@ -282,7 +283,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	p.FixedBytes = perEngineLinks*int64(p.Groups) +
 		8*int64(S) + // txCal (partitioned across groups)
 		szEvent*int64(len(cfg.Churn)+1+64+int(p.Groups)*64) + // event arenas
-		4*int64(maxEdges)*int64(p.Groups) + // fwdStack per engine (worst case)
+		4*int64(maxEdges)*int64(p.Groups) + // walk stack per engine (worst case)
 		partFixed // subtree partitions of single-session groups
 
 	// Construction scratch: global-id discovery arrays plus the largest

@@ -59,7 +59,7 @@ func (p *ProbeConfig) validate() error {
 }
 
 // probeState is the engine-side probe: all buffers are preallocated in
-// newEngine (ring slots for cap samples over R receivers and L links,
+// newEngineFor (ring slots for cap samples over R receivers and L links,
 // plus last-flush snapshots), so a window flush performs zero
 // allocations — it only diffs the engine's cumulative counters against
 // the previous flush.
@@ -197,50 +197,16 @@ func (p *probeState) flush(e *engine, t float64) {
 	p.lastTime = t
 }
 
-// series materializes the ring into a chronological ProbeSeries (the
-// one allocation probing performs, at result time).
-func (p *probeState) series(e *engine) *ProbeSeries {
-	n := p.count
-	if n > p.cap {
-		n = p.cap
-	}
-	ps := &ProbeSeries{
-		Times:     make([]float64, n),
-		Starts:    make([]float64, n),
-		Dropped:   p.count - n,
-		numLinks:  p.numLinks,
-		numRecv:   p.numRecv,
-		recvOff:   p.recvOff,
-		recvDelta: make([]int64, n*p.numRecv),
-		levels:    make([]int32, n*p.numRecv),
-		linkDelta: make([]int64, n*p.numLinks),
-		caps:      make([]float64, p.numLinks),
-	}
-	for j := 0; j < p.numLinks; j++ {
-		ps.caps[j] = e.net.Capacity(j)
-	}
-	first := p.count - n // oldest retained sample
-	for s := 0; s < n; s++ {
-		slot := (first + s) % p.cap
-		ps.Times[s] = p.times[slot]
-		ps.Starts[s] = p.starts[slot]
-		copy(ps.recvDelta[s*p.numRecv:(s+1)*p.numRecv], p.recvDelta[slot*p.numRecv:(slot+1)*p.numRecv])
-		copy(ps.levels[s*p.numRecv:(s+1)*p.numRecv], p.levels[slot*p.numRecv:(slot+1)*p.numRecv])
-		copy(ps.linkDelta[s*p.numLinks:(s+1)*p.numLinks], p.linkDelta[slot*p.numLinks:(slot+1)*p.numLinks])
-	}
-	return ps
-}
-
-// mergedProbeSeries assembles the global ProbeSeries from the group
-// engines' probe rings. Every group flushed the identical time-window
-// boundary grid (runShard advances each probe to the shared horizon
-// before finish adds the common tail), so the rings align
-// sample-for-sample: sample s covers the same (start, close] interval
-// in every group. Receivers are scattered into global session offsets
-// (each receiver lives in exactly one group); link crossings are summed
-// across groups (each link is crossed by at most one group's sessions,
-// the rest contribute zeros).
-func mergedProbeSeries(cfg Config, engines []*engine) *ProbeSeries {
+// mergeProbes assembles the run's ProbeSeries from its engines' probe
+// rings (the one allocation probing performs, at result time). Every
+// group flushed the identical time-window boundary grid (drainTo
+// advances each probe to the shared horizon before finish adds the
+// common tail), so the rings align sample-for-sample: sample s covers
+// the same (start, close] interval in every group. Receivers are
+// scattered into global session offsets (each receiver lives in exactly
+// one group); link crossings are summed across groups (each link is
+// crossed by at most one group's sessions, the rest contribute zeros).
+func mergeProbes(cfg Config, engines []*engine) *ProbeSeries {
 	net := cfg.Network
 	S := net.NumSessions()
 	base := engines[0].probe

@@ -139,25 +139,40 @@ func TestSingleGroupShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedStatsMerge: a sharded run flushes EngineStats once — one
-// Runs increment, counters summed across groups, and the events total
-// agreeing with Result.Events.
+// TestShardedStatsMerge: a run flushes EngineStats once at every
+// Shards — one Runs increment, counters summed across groups, the
+// events total agreeing with Result.Events, and the probe's windows
+// counted once (every group flushes the same window grid).
 func TestShardedStatsMerge(t *testing.T) {
-	cfg := disjointCfg(t, 8, 15000, 3)
-	cfg.Shards = 3
-	cfg.Stats = &EngineStats{}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.Stats.Runs.Load(); got != 1 {
-		t.Fatalf("Runs = %d, want 1", got)
-	}
-	if got := cfg.Stats.Events.Load(); got != res.Events {
-		t.Fatalf("stats events %d != result events %d", got, res.Events)
-	}
-	if cfg.Stats.VirtualTime.Load() != res.Duration {
-		t.Fatalf("virtual time %v != duration %v", cfg.Stats.VirtualTime.Load(), res.Duration)
+	for _, shards := range []int{0, 1, 3} {
+		cfg := disjointCfg(t, 8, 15000, 5)
+		cfg.Shards = shards
+		cfg.Probe = &ProbeConfig{Window: 10, MaxSamples: 4}
+		cfg.Stats = &EngineStats{}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cfg.Stats
+		if got := st.Runs.Load(); got != 1 {
+			t.Fatalf("Shards=%d: Runs = %d, want 1", shards, got)
+		}
+		if got := st.Events.Load(); got != res.Events {
+			t.Fatalf("Shards=%d: stats events %d != result events %d", shards, got, res.Events)
+		}
+		if st.VirtualTime.Load() != res.Duration {
+			t.Fatalf("Shards=%d: virtual time %v != duration %v", shards, st.VirtualTime.Load(), res.Duration)
+		}
+		ps := res.Probe
+		if ps.Dropped == 0 {
+			t.Fatalf("Shards=%d: probe ring never overflowed (%d samples)", shards, ps.NumSamples())
+		}
+		if got, want := st.ProbeWindows.Load(), int64(ps.NumSamples()+ps.Dropped); got != want {
+			t.Fatalf("Shards=%d: probe windows = %d, want %d", shards, got, want)
+		}
+		if got := st.ProbeDropped.Load(); got != int64(ps.Dropped) {
+			t.Fatalf("Shards=%d: probe dropped = %d, want %d", shards, got, ps.Dropped)
+		}
 	}
 }
 

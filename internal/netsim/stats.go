@@ -69,41 +69,53 @@ func (st *EngineStats) MustRegister(reg *obs.Registry) {
 	reg.MustRegister("netsim_virtual_time", "simulated time units across runs", &st.VirtualTime)
 }
 
-// flushStats publishes one finished run into cfg.Stats. Called once
-// from result(); every quantity is either an engine counter that was
+// flushStats publishes one finished run into st: counter sums over the
+// run's engines, one Runs increment for the one logical run, and the
+// run's duration added to virtual time once. Called once from
+// foldResult; every quantity is either an engine counter that was
 // maintained anyway or a sum the result fold already walks.
-func (e *engine) flushStats(res *Result) {
-	st := e.cfg.Stats
+func flushStats(st *EngineStats, engines []*engine, res *Result) {
 	if st == nil {
 		return
 	}
 	st.Runs.Inc()
-	st.Transmissions.Add(int64(e.sent))
-	st.CalendarTicks.Add(e.ticksFired)
-	st.ForwardEvents.Add(e.popForward)
-	st.ChurnEvents.Add(e.popChurn)
-	st.SignalEvents.Add(e.popSignal)
+	var sent, ticks, fwd, churn, sig int64
 	var crossed, drops, delivered int64
-	for i := range e.sess {
-		s := &e.sess[i]
-		for eid := range s.hot {
-			crossed += s.crossed[eid]
-			drops += s.cold[eid].drops
+	heapHW := 0
+	for _, e := range engines {
+		sent += int64(e.sent)
+		ticks += e.ticksFired
+		fwd += e.popForward
+		churn += e.popChurn
+		sig += e.popSignal
+		for i := range e.sess {
+			s := &e.sess[i]
+			for eid := range s.hot {
+				crossed += s.crossed[eid]
+				drops += s.cold[eid].drops
+			}
+			for _, n := range s.received {
+				delivered += int64(n)
+			}
 		}
-		for _, n := range s.received {
-			delivered += int64(n)
-		}
+		heapHW = max(heapHW, e.heapHW)
 	}
+	st.Transmissions.Add(sent)
+	st.CalendarTicks.Add(ticks)
+	st.ForwardEvents.Add(fwd)
+	st.ChurnEvents.Add(churn)
+	st.SignalEvents.Add(sig)
 	st.Crossings.Add(crossed)
 	st.Drops.Add(drops)
 	st.Deliveries.Add(delivered)
 	st.Events.Add(res.Events)
-	st.HeapHighWater.SetMax(int64(e.heapHW))
-	if e.probe != nil {
-		st.ProbeWindows.Add(int64(e.probe.count))
-		if dropped := e.probe.count - e.probe.cap; dropped > 0 {
+	st.HeapHighWater.SetMax(int64(heapHW))
+	if p := engines[0].probe; p != nil {
+		// Every group flushes the same window grid: count it once.
+		st.ProbeWindows.Add(int64(p.count))
+		if dropped := p.count - p.cap; dropped > 0 {
 			st.ProbeDropped.Add(int64(dropped))
 		}
 	}
-	st.VirtualTime.Add(e.now)
+	st.VirtualTime.Add(res.Duration)
 }

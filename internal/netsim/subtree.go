@@ -1,12 +1,9 @@
 package netsim
 
 import (
-	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-
-	"mlfair/internal/protocol"
 )
 
 // Intra-session subtree sharding (Config.Shards >= 1, single-session
@@ -19,28 +16,30 @@ import (
 // subtrees hanging off the core are pairwise link-disjoint, so — exactly
 // like shard groups — they can only interact through the shared core
 // prefix above them. The engine therefore partitions the DFS-ordered CSR
-// tree at a cut frontier and splits every transmission walk into three
-// phases:
+// tree at a cut frontier (cut edges carry metaCut) and splits every
+// transmission walk into three phases, the first two of them the
+// ordinary forward walk on different walk contexts:
 //
-//  1. Core (sequential). forwardCore walks the shared prefix with the
-//     engine's own RNG stream, exactly like the plain walk, except that a
-//     cut edge is not descended: its crossing is counted and its
-//     admission outcome fixed here — sequentially, in DFS order — and an
-//     admitted packet is recorded as an arrival for the subtree below.
-//     Fixing cut-edge outcomes in the core phase is what makes the fan-out
-//     phase embarrassingly parallel: nothing a subtree does can change
-//     whether a sibling's packet was admitted.
+//  1. Core (sequential). forward walks the shared prefix from the sender
+//     on the engine's own walk context, and stops at cut edges: a cut
+//     edge's crossing is counted and its admission outcome fixed here —
+//     sequentially, in DFS order — and an admitted packet is recorded as
+//     an arrival for the subtree below. Fixing cut-edge outcomes in the
+//     core phase is what makes the fan-out phase embarrassingly
+//     parallel: nothing a subtree does can change whether a sibling's
+//     packet was admitted.
 //
-//  2. Fan-out (parallel). Each arrived subtree runs the ordinary fused
-//     walk over its own edges, drawing from its own PCG stream (seeded
-//     from the group seed and the subtree index — never from Shards or
-//     the worker schedule) and mutating only subtree-owned state: its
-//     receivers' protocol arrays, its edges' counters, its nodes'
-//     subscription rows, and a per-subtree level-accounting partition.
-//     Level changes propagate only up to the subtree root; the cut edge
-//     itself is left untouched (phase 3 owns it). Work is distributed by
-//     an atomic cursor — the schedule affects wall-clock only, never
-//     state, because subtrees are disjoint.
+//  2. Fan-out (parallel). Each arrived subtree runs forward from its
+//     root on a worker's walk context pointed at the subtree: its own
+//     PCG stream (seeded from the group seed and the subtree index —
+//     never from Shards or the worker schedule) and its own row of a
+//     per-subtree level-accounting partition. The walk mutates only
+//     subtree-owned state: its receivers' protocol arrays, its edges'
+//     counters, its nodes' subscription rows, and that row. Level
+//     changes propagate only up to the subtree root; the cut edge itself
+//     is left untouched (phase 3 owns it). Work is distributed by an
+//     atomic cursor — the schedule affects wall-clock only, never state,
+//     because subtrees are disjoint.
 //
 //  3. Rollup (sequential). For each arrival, in ascending subtree order,
 //     the deferred cut-edge bookkeeping runs if the subtree root's
@@ -56,14 +55,14 @@ import (
 // pure function of the Config — every Shards >= 1 yields the identical
 // Result, and GOMAXPROCS/worker count never leak into output. Like
 // multi-group sharding, the decomposed run is a different (equally
-// valid) realization than the Shards == 0 sequential engine: subtree
-// streams replace slices of the sequential stream.
+// valid) realization than the Shards == 0 run: subtree streams replace
+// slices of the engine's own stream.
 //
 // Between transmissions everything is sequential, so churn, signal
 // delivery, and probe flushes run on globally consistent state with the
-// engine's own stream; level changes from those paths go through the
-// full applyLevelChange (straight through the cut edge) and re-sync the
-// subtree's rollup snapshot.
+// engine's own walk context; level changes from those paths propagate
+// straight through the cut edge and re-sync the subtree's rollup
+// snapshot.
 
 // subtreeSalt decorrelates per-subtree seeds from both the replication
 // fan-out (ReplicationSeed(seed, i)) and the shard-group fan-out
@@ -92,8 +91,8 @@ const (
 
 // treePartition is the engine-side decomposition of one session's tree.
 // Built only for single-session shard groups (see newTreePartition for
-// the eligibility rules); nil on every other engine, costing the
-// sequential paths one predictable nil check at non-hot call sites.
+// the eligibility rules); nil on every other engine, whose walks then
+// never meet a cut edge.
 type treePartition struct {
 	numSub int
 	// subRoot[j] is subtree j's root node (the cut edge's child) and
@@ -126,10 +125,11 @@ type treePartition struct {
 	// (ascending) order — phase 2's work list and phase 3's merge order.
 	arrivals []int32
 
-	// Worker pool. workers is fixed by runSharded (never by the
+	// Worker pool. workers is fixed by runGroups (never by the
 	// schedule); goroutines are spawned lazily on the first parallel
-	// round and stopped by runSharded after the run. stacks[w] is worker
-	// w's reusable DFS stack (index 0 belongs to the engine goroutine).
+	// round and stopped by runGroups after the run. walkers[w] is worker
+	// w's walk context (index 0 belongs to the engine goroutine), its
+	// stack sized for the largest subtree.
 	workers  int
 	maxStack int
 	layer    int32
@@ -137,7 +137,7 @@ type treePartition struct {
 	cursor   atomic.Int64
 	wg       sync.WaitGroup
 	wake     []chan struct{}
-	stacks   [][]int32
+	walkers  []walker
 	spawned  bool
 }
 
@@ -234,7 +234,11 @@ func newTreePartition(e *engine, s *sessState, seed uint64) *treePartition {
 		}
 	}
 	for _, eid := range cutEid {
-		s.hot[eid].meta |= metaCut
+		// The core walk neither delivers at nor descends below a cut
+		// edge; marking it wide routes it to the walk's rare branch,
+		// where metaCut is tested. downstream() keeps recvLo.
+		s.hot[eid].meta |= metaCut | metaWide
+		s.hot[eid].recvHi = s.hot[eid].recvLo
 	}
 	p := &treePartition{
 		numSub:      numSub,
@@ -275,12 +279,16 @@ func (p *treePartition) setWorkers(w int) {
 	p.workers = w
 }
 
-// ensure lazily allocates the stacks and spawns the worker goroutines.
+// ensure lazily allocates the walk contexts and spawns the worker
+// goroutines. The stacks share one backing array with a cache line
+// between neighbours, so no two workers' stacks share a line either.
 func (p *treePartition) ensure(e *engine, s *sessState) {
 	p.spawned = true
-	p.stacks = make([][]int32, p.workers)
-	for w := range p.stacks {
-		p.stacks[w] = make([]int32, 0, p.maxStack)
+	p.walkers = make([]walker, p.workers)
+	stride := p.maxStack + 16 // 16 int32s: one 64-byte line of gap
+	stacks := make([]int32, p.workers*stride)
+	for w := range p.walkers {
+		p.walkers[w].stack = stacks[w*stride : w*stride : w*stride+p.maxStack]
 	}
 	p.wake = make([]chan struct{}, p.workers)
 	for w := 1; w < p.workers; w++ {
@@ -307,6 +315,24 @@ func (p *treePartition) stop() {
 	p.spawned = false
 }
 
+// fanOut finishes a transmission on a partitioned engine once the core
+// walk has recorded its arrivals: the arrived subtrees' walks (phase 2),
+// then their deferred cut-edge work in ascending subtree order (phase 3).
+func (e *engine) fanOut(s *sessState, layer int32) {
+	p := e.part
+	p.runPhase2(e, s, layer)
+	for _, j := range p.arrivals {
+		e.rollupSubtree(s, int(j))
+	}
+	p.arrivals = p.arrivals[:0]
+}
+
+// arrive records a packet admitted on the cut edge entering node nd:
+// nd's subtree joins the current fan-out round.
+func (p *treePartition) arrive(nd int32) {
+	p.arrivals = append(p.arrivals, p.subOfNode[nd])
+}
+
 // runPhase2 fans the current arrivals out to the workers and waits for
 // the barrier. Small rounds run inline: waking workers costs more than
 // a handful of subtree walks.
@@ -319,11 +345,9 @@ func (p *treePartition) runPhase2(e *engine, s *sessState, layer int32) {
 		p.ensure(e, s)
 	}
 	if p.workers <= 1 || n < 2*p.workers {
-		st := p.stacks[0]
 		for _, j := range p.arrivals {
-			st = e.walkSubtree(s, p, int(j), layer, st)
+			e.walkSubtree(s, &p.walkers[0], j, layer)
 		}
-		p.stacks[0] = st
 		return
 	}
 	p.layer = layer
@@ -346,7 +370,7 @@ func (p *treePartition) runPhase2(e *engine, s *sessState, layer int32) {
 // a race on purpose — subtrees are disjoint, so the schedule cannot
 // influence any output.
 func (p *treePartition) drain(e *engine, s *sessState, w int) {
-	st := p.stacks[w]
+	wk := &p.walkers[w]
 	n := int64(len(p.arrivals))
 	layer := p.layer
 	for {
@@ -359,386 +383,27 @@ func (p *treePartition) drain(e *engine, s *sessState, w int) {
 			hi = n
 		}
 		for _, j := range p.arrivals[i:hi] {
-			st = e.walkSubtree(s, p, int(j), layer, st)
+			e.walkSubtree(s, wk, j, layer)
 		}
 	}
-	p.stacks[w] = st
 }
 
-// forwardSubtree is the decomposed transmission: core prefix, parallel
-// fan-out, deterministic rollup. It replaces forward on partitioned
-// engines (runShard routes here).
-func (e *engine) forwardSubtree(s *sessState, layer int32) {
-	e.forwardCore(s, layer)
+// walkSubtree delivers one packet admitted on subtree j's cut edge: it
+// points w at the subtree — its stream, its accounting row, its root —
+// and runs the ordinary walk from the subtree root. Runs concurrently
+// with walks of other subtrees.
+func (e *engine) walkSubtree(s *sessState, w *walker, j, layer int32) {
 	p := e.part
-	p.runPhase2(e, s, layer)
-	for _, j := range p.arrivals {
-		e.rollupSubtree(s, int(j))
-	}
-}
-
-// forwardCore walks the shared core prefix from the sender exactly like
-// forward, except at cut edges: the crossing is counted and the
-// admission outcome fixed here with the engine's stream (a drop
-// congests the subtree's receivers immediately, through the full
-// sequential machinery), and an admitted packet becomes an arrival —
-// the descent into the subtree is deferred to phase 2. DropTail never
-// occurs on partitioned trees, so no events are scheduled.
-func (e *engine) forwardCore(s *sessState, layer int32) {
-	p := e.part
-	p.arrivals = p.arrivals[:0]
-	countJoins := s.cfg.Protocol != protocol.Coordinated
-	for x := s.recvStart[0]; x < s.recvStart[1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer {
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, int(k))
-				}
-			}
-		}
-	}
-	st := e.fwdStack[:0]
-	if s.wide[0] {
-		for q := s.gt[layer] - 1; q >= 0; q-- {
-			st = append(st, s.order[q])
-		}
-	} else {
-		for ceid := s.edgeStart[1] - 1; ceid >= 0; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
-	for len(st) > 0 {
-		eid := st[len(st)-1]
-		st = st[:len(st)-1]
-	descend:
-		ed := &s.hot[eid]
-		s.crossed[eid]++
-		dropped := false
-		switch int8(ed.meta & metaKindMask) {
-		case ekAlways:
-		case ekBernoulli:
-			gap := s.lossGap[eid]
-			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined (the
-				// call costs ~2% on loss-heavy walks; the property
-				// suite pins the equivalence draw for draw).
-				u := e.rng.Float64()
-				if u <= 0 {
-					u = math.SmallestNonzeroFloat64
-				}
-				gap = int64(math.Log(u)*s.cold[eid].invLog) + 1
-				if gap < 1 {
-					gap = 1
-				}
-			}
-			gap--
-			s.lossGap[eid] = gap
-			dropped = gap == 0
-		case ekLayerLoss:
-			ll := e.linkLayerLoss[ed.link]
-			pr := ll[len(ll)-1]
-			if int(layer) < len(ll) {
-				pr = ll[layer]
-			}
-			dropped = pr > 0 && e.rng.Float64() < pr
-		default: // ekCapacity; ekDropTail is excluded by partition eligibility
-			cd := &e.capDem[ed.capIdx]
-			d := cd.dem + cd.bg
-			dropped = d > cd.cap && e.rng.Float64()*d < d-cd.cap
-		}
-		if ed.meta&metaCut != 0 {
-			if dropped {
-				s.cold[eid].drops++
-				e.notifyLoss(s, layer, eid)
-				continue
-			}
-			p.arrivals = append(p.arrivals, p.subOfNode[ed.gtOff>>s.rowShift])
-			continue
-		}
-		if dropped {
-			s.cold[eid].drops++
-			e.notifyLoss(s, layer, eid)
-			continue
-		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
-					}
-				}
-			}
-		}
-		if ed.meta&metaWide != 0 {
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
-				cb := ed.edgeLo
-				for q := cn - 1; q >= 1; q-- {
-					st = append(st, s.order[cb+q])
-				}
-				eid = s.order[cb]
-				goto descend
-			}
-		} else {
-			first := int32(-1)
-			for ceid := ed.edgeHi - 1; ceid >= ed.edgeLo; ceid-- {
-				if s.edgeSub[ceid] > layer {
-					if first >= 0 {
-						st = append(st, first)
-					}
-					first = ceid
-				}
-			}
-			if first >= 0 {
-				eid = first
-				goto descend
-			}
-		}
-	}
-	e.fwdStack = st[:0]
-}
-
-// walkSubtree delivers one admitted packet through subtree j: the
-// ordinary fused walk, starting with the delivery at the subtree root
-// (the cut edge's crossing and admission already happened in the core
-// phase), drawing only from the subtree's stream and mutating only
-// subtree-owned state. Runs concurrently with walks of other subtrees.
-func (e *engine) walkSubtree(s *sessState, p *treePartition, j int, layer int32, st []int32) []int32 {
-	rng := p.rngs[j]
-	node := p.subRoot[j]
-	countJoins := s.cfg.Protocol != protocol.Coordinated
-	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer {
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiverSub(s, p, j, int(k), rng)
-				}
-			}
-		}
-	}
-	st = st[:0]
-	if s.wide[node] {
-		base := s.edgeStart[node]
-		for q := s.gt[(node<<s.rowShift)+layer] - 1; q >= 0; q-- {
-			st = append(st, s.order[base+q])
-		}
-	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
-	for len(st) > 0 {
-		eid := st[len(st)-1]
-		st = st[:len(st)-1]
-	descend:
-		ed := &s.hot[eid]
-		s.crossed[eid]++
-		dropped := false
-		switch int8(ed.meta & metaKindMask) {
-		case ekAlways:
-		case ekBernoulli:
-			gap := s.lossGap[eid]
-			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined, against
-				// the subtree's stream.
-				u := rng.Float64()
-				if u <= 0 {
-					u = math.SmallestNonzeroFloat64
-				}
-				gap = int64(math.Log(u)*s.cold[eid].invLog) + 1
-				if gap < 1 {
-					gap = 1
-				}
-			}
-			gap--
-			s.lossGap[eid] = gap
-			dropped = gap == 0
-		case ekLayerLoss:
-			ll := e.linkLayerLoss[ed.link]
-			pr := ll[len(ll)-1]
-			if int(layer) < len(ll) {
-				pr = ll[layer]
-			}
-			dropped = pr > 0 && rng.Float64() < pr
-		default: // ekCapacity (subtree-owned demand row); ekDropTail excluded
-			cd := &e.capDem[ed.capIdx]
-			d := cd.dem + cd.bg
-			dropped = d > cd.cap && rng.Float64()*d < d-cd.cap
-		}
-		if dropped {
-			s.cold[eid].drops++
-			// notifyLoss, bounded: an in-subtree edge's downstream
-			// receivers all live in the subtree.
-			for _, k := range s.downstream(eid) {
-				if s.levels[k] > layer {
-					e.congestReceiverSub(s, p, j, int(k), rng)
-				}
-			}
-			continue
-		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiverSub(s, p, j, int(k), rng)
-					}
-				}
-			}
-		}
-		if ed.meta&metaWide != 0 {
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
-				cb := ed.edgeLo
-				for q := cn - 1; q >= 1; q-- {
-					st = append(st, s.order[cb+q])
-				}
-				eid = s.order[cb]
-				goto descend
-			}
-		} else {
-			first := int32(-1)
-			for ceid := ed.edgeHi - 1; ceid >= ed.edgeLo; ceid-- {
-				if s.edgeSub[ceid] > layer {
-					if first >= 0 {
-						st = append(st, first)
-					}
-					first = ceid
-				}
-			}
-			if first >= 0 {
-				eid = first
-				goto descend
-			}
-		}
-	}
-	return st[:0]
-}
-
-// levelChangeSub is applyLevelChange bounded to subtree j, for the
-// parallel phase: accounting lands in the subtree's partition row, and
-// propagation stops at the subtree root — the cut edge's bookkeeping is
-// deferred to rollupSubtree. The sentinel capacity row is shared across
-// subtrees, so (unlike the sequential path's blind branch-free write)
-// the demand update skips non-Capacity edges.
-func (e *engine) levelChangeSub(s *sessState, p *treePartition, j, k int, nl int32) {
-	a := s.levels[k]
-	if nl == a {
-		return
-	}
-	p.levelInt[j] += float64(p.sumLevel[j]) * (e.now - p.levelT[j])
-	p.levelT[j] = e.now
-	p.sumLevel[j] += int64(nl - a)
-	s.levels[k] = nl
-	row := j * int(p.mrow)
-	p.nAtLevel[row+int(a)]--
-	p.nAtLevel[row+int(nl)]++
-	nd := s.recvNode[k]
-	b := nl
-	root := p.subRoot[j]
-	for {
-		om := s.subMax[nd]
-		var nm int32
-		if s.solo[nd] {
-			nm = b
-		} else {
-			crow := nd << s.rowShift
-			if a > 0 {
-				s.lvlCnt[crow+a]--
-			}
-			if b > 0 {
-				s.lvlCnt[crow+b]++
-			}
-			nm = om
-			if b > om {
-				nm = b
-			} else if a == om && s.lvlCnt[crow+om] == 0 {
-				for nm--; nm > 0 && s.lvlCnt[crow+nm] == 0; nm-- {
-				}
-			}
-		}
-		if nm == om {
-			return
-		}
-		s.subMax[nd] = nm
-		if nd == root {
-			return // cut-edge bookkeeping is rollupSubtree's
-		}
-		eid := s.parentEdge[nd]
-		s.fluidInt[eid] += s.cum[om] * (e.now - s.fluidT[eid])
-		s.fluidT[eid] = e.now
-		s.edgeSub[eid] = nm
-		if e.trackDemand {
-			if ci := s.hot[eid].capIdx; ci != e.capSentinel {
-				e.capDem[ci].dem += s.cum[nm] - s.cum[om]
-			}
-		}
-		pnd := s.parent[nd]
-		if s.wide[pnd] {
-			s.reorder(eid, pnd, om, nm)
-		}
-		a, b = om, nm
-		nd = pnd
-	}
-}
-
-// armReceiverSub is armReceiver against the subtree's stream.
-func (e *engine) armReceiverSub(s *sessState, k int, lv int32, rng *rand.Rand) {
-	switch s.cfg.Protocol {
-	case protocol.Deterministic:
-		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
-	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(rng, 1/float64(protocol.JoinThreshold(int(lv)))))
-	case protocol.Coordinated:
-		s.clean[k] = true
-	}
-}
-
-// joinReceiverSub is joinReceiver bounded to subtree j.
-func (e *engine) joinReceiverSub(s *sessState, p *treePartition, j, k int, rng *rand.Rand) {
-	lv := s.levels[k]
-	if lv < s.m {
-		lv++
-		e.levelChangeSub(s, p, j, k, lv)
-	}
-	e.armReceiverSub(s, k, lv, rng)
-}
-
-// congestReceiverSub is congestReceiver bounded to subtree j.
-func (e *engine) congestReceiverSub(s *sessState, p *treePartition, j, k int, rng *rand.Rand) {
-	lv := s.levels[k]
-	if lv > 1 {
-		lv--
-		e.levelChangeSub(s, p, j, k, lv)
-	}
-	s.clean[k] = false
-	switch s.cfg.Protocol {
-	case protocol.Deterministic:
-		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
-	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(rng, 1/float64(protocol.JoinThreshold(int(lv)))))
-	}
+	w.rng, w.sub, w.root = p.rngs[j], j, p.subRoot[j]
+	e.forward(s, w, layer, w.root, e.now)
 }
 
 // rollupSubtree performs subtree j's deferred cut-edge work after a
 // fan-out round: if the root's maximum moved, advance the cut edge's
 // fluid integral, publish the new edgeSub, apply the (telescoped, exact)
 // capacity-demand delta, re-bucket the cut edge in its core parent, and
-// propagate the contribution change up the core — precisely what the
-// sequential walk would have done at the cut edge, just batched.
+// propagate the contribution change up the core — precisely what an
+// unpartitioned walk would have done at the cut edge, just batched.
 func (e *engine) rollupSubtree(s *sessState, j int) {
 	p := e.part
 	root := p.subRoot[j]
@@ -759,7 +424,7 @@ func (e *engine) rollupSubtree(s *sessState, j int) {
 	if s.wide[pnd] {
 		s.reorder(eid, pnd, om, nm)
 	}
-	e.propagateFrom(s, pnd, om, nm)
+	e.propagateFrom(s, &e.walk, pnd, om, nm)
 }
 
 // sessionLevelIntegral is the session's level integral at time now:

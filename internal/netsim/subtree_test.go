@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mlfair/internal/netmodel"
 	"mlfair/internal/protocol"
@@ -399,7 +400,7 @@ func TestSubtreeProbedInvariance(t *testing.T) {
 // TestSubtreeWorkerCountInvariantUnderGOMAXPROCS: setWorkers is a pure
 // throughput knob even when it exceeds the subtree count or the
 // machine's cores; forcing the partition's worker count directly (as
-// runSharded would on a many-core box) must not change the Result.
+// runGroups would on a many-core box) must not change the Result.
 func TestSubtreeWorkerCountInvariantUnderGOMAXPROCS(t *testing.T) {
 	cfg, _ := planetaryOneCfg(t, 8000, 21)
 	cfg.Shards = 1
@@ -452,6 +453,10 @@ func TestPlanMemoryCountsSubtrees(t *testing.T) {
 	sf.Shards = 2
 	small := starOfStarsCfg(t, 20, 100, 2)
 	small.Shards = 2
+	// Nil Links: every link Perfect, so the frontier replay must not read
+	// a link spec.
+	perfect := auto
+	perfect.Links = nil
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -460,6 +465,7 @@ func TestPlanMemoryCountsSubtrees(t *testing.T) {
 		{"planetary-explicit", explicit},
 		{"scale-free-explicit", sf},
 		{"small-declined", small},
+		{"planetary-nil-links", perfect},
 	} {
 		plan, err := PlanMemory(tc.cfg)
 		if err != nil {
@@ -476,6 +482,15 @@ func TestPlanMemoryCountsSubtrees(t *testing.T) {
 		if want > 0 && !strings.Contains(plan.String(), "subtree shard") {
 			t.Fatalf("%s: plan string omits the partition: %s", tc.name, plan)
 		}
+	}
+	// Run checks the budget against the same plan before building.
+	plan, err := PlanMemory(perfect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perfect.MemBudget = plan.Total
+	if _, err := Run(perfect); err != nil {
+		t.Fatalf("nil-Links run under its own plan's budget: %v", err)
 	}
 }
 
@@ -526,5 +541,35 @@ func TestCutLinksValidate(t *testing.T) {
 	cfg.CutLinks = []int{cfg.Network.NumLinks()}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "CutLinks") {
 		t.Fatalf("out-of-range CutLinks accepted: %v", err)
+	}
+}
+
+// TestWalkerPadding: fan-out workers' walk contexts sit side by side in
+// one slice and their stacks in one backing array, so each walker ends
+// in a full cache line of padding and neighbouring stacks are a line
+// apart — two workers never write the same line.
+func TestWalkerPadding(t *testing.T) {
+	var w walker
+	hot := unsafe.Offsetof(w.stack) + unsafe.Sizeof(w.stack)
+	if pad := unsafe.Sizeof(w) - hot; pad < 64 {
+		t.Fatalf("walker has %d bytes after its hot fields, want >= 64", pad)
+	}
+	cfg := starOfStarsCfg(t, 10, 100, 1)
+	cfg.CutLinks = []int{0, 1, 2}
+	cfg.Shards = 3
+	e, err := newEngineFor(cfg, []int{0}, nil, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.part
+	p.setWorkers(3)
+	p.ensure(e, &e.sess[0])
+	defer p.stop()
+	for i := 1; i < len(p.walkers); i++ {
+		prev, next := p.walkers[i-1].stack, p.walkers[i].stack
+		end := uintptr(unsafe.Pointer(unsafe.SliceData(prev))) + uintptr(cap(prev))*4
+		if gap := uintptr(unsafe.Pointer(unsafe.SliceData(next))) - end; gap < 64 {
+			t.Fatalf("stacks %d and %d are %d bytes apart, want >= 64", i-1, i, gap)
+		}
 	}
 }
