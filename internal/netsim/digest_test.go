@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -105,6 +106,12 @@ func (d *digester) floats(vs []float64) {
 // tree cut at lossy (Bernoulli) access links and Capacity core links
 // draws loss and capacity coins from the subtree streams, which the
 // committed planetary goldens (cut at Perfect access links) never do.
+//
+// The pop100 cases were recorded from the engine as it stood before
+// delivery at multi-receiver nodes became output-sensitive (per-layer
+// node counters, subscription bitmaps): nodes hosting 100 receivers,
+// reached directly, through a DropTail queue, under churn, under a
+// leave latency, and with a packet-window probe reading mid-run counts.
 func TestResultDigests(t *testing.T) {
 	// resultDigest must see every field: a new one has to be added there.
 	if n := reflect.TypeOf(Result{}).NumField(); n != 9 {
@@ -131,6 +138,17 @@ func TestResultDigests(t *testing.T) {
 		"planetary/access/Deterministic":        "19d7ff695f70338449a79ec936bee5932349e2b6ed5e2d2207ec09051d2bf469",
 		"planetary/access/Deterministic/probed": "35a15b3d27944cbe6b62a279089d764b93cf6ec19cd097df9fd97391bc1f7d16",
 		"scale-free/depth-2-cut":                "f0a86c5018d3906d556448fc5d3c3d59b73a098d07de58048c0ce39d8180f565",
+		"pop100/Coordinated":                    "0afbaa2a515d11902bb11e07ae7f09fb48cd5ab0dee5e516c34d7ff5b3c5d212",
+		"pop100/Uncoordinated":                  "6edd9ee529747d1b3182d21e3c59cd61b87ff831c4db8277a1fd3e6bb831bf90",
+		"pop100/Deterministic":                  "e8d8b98b6a830a6ed44cb99d74f327ec85e36a11b9f2065929c177342b843179",
+		"pop100/access/Uncoordinated":           "869788560b3940296dc83b27208c3bb2f94894c5b4ba0b6ab468f7b94f25f0c7",
+		"pop100/droptail/Coordinated":           "bffd0ef710f2508bdaa32311b2be7b3688c7806ccc01e0aa228ae55e8b471fee",
+		"pop100/droptail/Uncoordinated":         "e6b5c669eb9434776cd50f3708d91d34a4faf40956b526941e6875b55288fb20",
+		"pop100/churn/Coordinated":              "6cc8fdb30cba9834a7fc65c85c483df4f7f70e04990e88e1b94df11accf0a625",
+		"pop100/churn/Uncoordinated":            "f4ea4c8e35b2063521dcc30ba601e8ddf3b48d69306241cf190d2bc6b528c36a",
+		"pop100/churn/Uncoordinated/packets":    "911b4e370901d7072d98aafcd4531969bf4ddbccff1df79575e149fdbd363c58",
+		"pop100/linger/Uncoordinated":           "8245f8dd5dc52215e50275c038dc5cceed5debd9c025d1435637cdf9898795f0",
+		"pop100/linger/Deterministic":           "464644d6ed34bcc9baf262f1869d3a7946a36c171c43591ad79f36bdb47a27ab",
 	}
 	check := func(name string, cfg Config) {
 		t.Helper()
@@ -184,7 +202,93 @@ func TestResultDigests(t *testing.T) {
 	sf := scaleFreeCfg(t, 4000, 19)
 	sf.Shards = 2
 	check("scale-free/depth-2-cut", sf)
+
+	// Nodes hosting 100 receivers each: one node's receivers span two or
+	// three 64-slot words of the pre-order receiver list, at an offset
+	// that is never word-aligned.
+	for _, kind := range protocol.Kinds() {
+		check("pop100/"+kind.String(), pop100Cfg(t, kind, 23))
+	}
+	access := pop100Cfg(t, protocol.Uncoordinated, 29)
+	access.Shards = 2
+	access.CutLinks = topology.PlanetaryCutFrontier(pop100FirstAccess, access.Network.NumLinks())
+	check("pop100/access/Uncoordinated", access)
+	// DropTail access links with a delay: every delivery into a PoP
+	// arrives through the event queue and enters the walk at the PoP.
+	for _, kind := range []protocol.Kind{protocol.Coordinated, protocol.Uncoordinated} {
+		cfg := pop100Cfg(t, kind, 31)
+		for j := pop100FirstAccess; j < len(cfg.Links); j++ {
+			cfg.Links[j] = LinkSpec{Kind: DropTail, Capacity: 40, Buffer: 8, Delay: 0.05}
+		}
+		check("pop100/droptail/"+kind.String(), cfg)
+	}
+	// Churn at multi-receiver nodes: receivers leave to level 0 and
+	// rejoin at level 1 mid-run.
+	for _, kind := range []protocol.Kind{protocol.Coordinated, protocol.Uncoordinated} {
+		cfg := pop100Cfg(t, kind, 37)
+		cfg.Churn = pop100Churn(cfg)
+		check("pop100/churn/"+kind.String(), cfg)
+	}
+	probed := pop100Cfg(t, protocol.Uncoordinated, 41)
+	probed.Churn = pop100Churn(probed)
+	probed.Probe = &ProbeConfig{PacketWindow: 500, MaxSamples: 4}
+	check("pop100/churn/Uncoordinated/packets", probed)
+	for _, kind := range []protocol.Kind{protocol.Uncoordinated, protocol.Deterministic} {
+		cfg := pop100Cfg(t, kind, 43)
+		cfg.LeaveLatency = 2
+		check("pop100/linger/"+kind.String(), cfg)
+	}
 	if len(want) != 0 {
 		t.Fatalf("digests never checked: %v", want)
 	}
+}
+
+// pop100FirstAccess is the first access link of pop100Cfg's network:
+// its 8 core routers are joined by 7 core links.
+const pop100FirstAccess = 7
+
+// pop100Cfg is one planetary region of 16 PoPs hosting 100 receivers
+// each, with Capacity core links and lossy Bernoulli access links, so
+// congestion lands above multi-receiver nodes.
+func pop100Cfg(t *testing.T, kind protocol.Kind, seed uint64) Config {
+	t.Helper()
+	net, firstAccess, err := topology.Planetary(rand.New(rand.NewPCG(11, 11)), topology.PlanetaryOptions{
+		Regions: 1, CoreNodes: 8, PoPs: 16, ReceiversPerPoP: 100,
+		CoreCap: 96, AccessCap: 48,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if firstAccess != pop100FirstAccess {
+		t.Fatalf("firstAccess = %d, want %d", firstAccess, pop100FirstAccess)
+	}
+	specs := make([]LinkSpec, net.NumLinks())
+	for j := range specs {
+		if j < firstAccess {
+			specs[j] = LinkSpec{Kind: Capacity, Capacity: 96}
+		} else {
+			specs[j] = LinkSpec{Kind: Bernoulli, Loss: 0.01}
+		}
+	}
+	return Config{
+		Network:  net,
+		Links:    specs,
+		Sessions: []SessionConfig{{Protocol: kind, Layers: 8}},
+		Packets:  6000,
+		Seed:     seed,
+	}
+}
+
+// pop100Churn makes every 7th receiver leave at a staggered time, and
+// two of every three of them rejoin later.
+func pop100Churn(cfg Config) []ChurnEvent {
+	var churn []ChurnEvent
+	for k := 0; k < cfg.Network.Session(0).NumReceivers(); k += 7 {
+		leave := 2 + float64(k%40)*0.25
+		churn = append(churn, ChurnEvent{Time: leave, Receiver: k})
+		if k%3 != 0 {
+			churn = append(churn, ChurnEvent{Time: leave + 3, Receiver: k, Join: true})
+		}
+	}
+	return churn
 }

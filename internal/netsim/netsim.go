@@ -55,6 +55,17 @@
 //     deciding admission inline; sessions whose links are all
 //     Perfect/Bernoulli take a variant with the admission switch
 //     compiled out.
+//   - Delivery is output-sensitive. A node hosting several receivers
+//     counts each packet once, in a per-layer counter row shaped like
+//     its subscription row; a receiver's delivered count is an offset
+//     plus its node's counters below its level (delivered), and every
+//     level change settles the offset. A Coordinated delivery touches
+//     no receiver. Countdown protocols keep per-level subscription
+//     bitmaps over the pre-order receiver list, so one routine
+//     (deliverShared) visits exactly the subscribed receivers, in the
+//     ascending order a scan would, and every join's RNG draw keeps its
+//     place. A node hosting one receiver keeps the inline per-receiver
+//     count (deliverSingle).
 //   - Bernoulli drops are realized by geometric inter-drop gap counters
 //     (one RNG draw per drop, not per crossing — the identical law;
 //     links with layer-dependent loss tables fall back to a direct draw
@@ -92,6 +103,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"sync/atomic"
 
 	"mlfair/internal/layering"
 	"mlfair/internal/netmodel"
@@ -608,17 +620,39 @@ type sessState struct {
 	recvNode  []int32 // [receiver] hosting node
 
 	// Receiver protocol state, flattened from protocol.Receiver into
-	// parallel arrays so the delivery loop touches two cache lines
-	// instead of one heap object per receiver. The transition logic
-	// mirrors protocol.Receiver exactly (the sim/treesim/capsim
-	// cross-check tests guard the equivalence): levels[k] is the joined
-	// layer count (0 while departed), countdown[k] the packets left
-	// until the next Deterministic/Uncoordinated join, clean[k] the
-	// Coordinated no-congestion-since-last-opportunity window.
+	// parallel arrays. The transition logic mirrors protocol.Receiver
+	// exactly (the sim/treesim/capsim cross-check tests guard the
+	// equivalence): levels[k] is the joined layer count (0 while
+	// departed), countdown[k] the packets left until the next
+	// Deterministic/Uncoordinated join, clean[k] the Coordinated
+	// no-congestion-since-last-opportunity window.
 	levels    []int32
 	countdown []int64
 	clean     []bool
-	received  []int
+	// Delivery counts. A node hosting one receiver counts its packets in
+	// received[k] directly. A node hosting several counts each layer
+	// once per packet in its got row, got[(node<<rowShift)+layer] (rows
+	// shaped like lvlCnt); received[k] is then an offset that
+	// applyLevelChange settles whenever the receiver's level moves, so
+	// the count is received[k] plus the row's counters below the level —
+	// read only through delivered(k). A single-receiver node's got row
+	// stays zero, so the same sum serves both; got is nil when no node
+	// hosts several receivers (a star).
+	received []int
+	got      []int64
+	// Subscription bitmaps (Deterministic/Uncoordinated sessions with a
+	// multi-receiver node; nil otherwise): bit x of level v's bitmap,
+	// subBits[v*bmWords + x>>6], is set iff receiver recvList[x] sits at
+	// a multi-receiver node with level above v; slotOf[k] is receiver
+	// k's slot x. A packet of layer v visits exactly the set bits of its
+	// node's slot range (deliverShared), in ascending slot order, so
+	// countdowns and joins see receivers in the order a scan of recvList
+	// would. Two subtrees' slot ranges may share a word, so fan-out
+	// walkers write bits atomically and every reader loads words
+	// atomically.
+	subBits []uint64
+	slotOf  []int32
+	bmWords int32
 
 	// Per-edge fluid-usage accounting: fluidInt[eid] integrates the
 	// cumulative scheme rate of the edge's subtree maximum over time
@@ -892,6 +926,8 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	gParentLink := make([]int32, nn)
 	gChildren := make([][]buildEdge, nn)
 	intern := make([]int32, nn) // global node id -> session-internal id
+	// hostMark[nd] == li+1 once session li has a receiver hosted at nd.
+	hostMark := make([]int32, nn)
 	// Construction scratch reused across sessions, and one immutable
 	// layering scheme per distinct layer count, in a dense slice keyed by
 	// layer count (the zero Scheme has NumLayers 0, so presence is the
@@ -926,9 +962,19 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		}
 		gParent[ns.Sender] = int32(ns.Sender)
 		nEdges := 0
+		// shared: some node hosts several of the session's receivers, so
+		// the session needs delivery-counter rows (and, under a countdown
+		// protocol, subscription bitmaps).
+		shared := false
 		// One walk per run of receivers sharing a path: walking it again
 		// would re-find the same parents over the same links.
-		for k := 0; k < len(ns.Receivers); k += net.PathRun(gi, k) {
+		for k, run := 0, 0; k < len(ns.Receivers); k += run {
+			run = net.PathRun(gi, k)
+			if host := ns.Receivers[k]; run > 1 || hostMark[host] == int32(li+1) {
+				shared = true
+			} else {
+				hostMark[host] = int32(li + 1)
+			}
 			cur := ns.Sender
 			for _, j := range net.Path(gi, k) {
 				nb := g.Other(j, cur)
@@ -982,8 +1028,17 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		// session instead of ~25, with the walk-side arrays adjacent in
 		// memory. Capacities are capped at each carve so an accidental
 		// append could never bleed into a neighbor.
-		s32 := make([]int32, 3*nR+(sc.Layers+1)+3*treeN+2*(treeN+1)+2*rowLen+4*nEdges)
-		s64 := make([]int64, nR+2*nEdges)
+		bitmaps := shared && sc.Protocol != protocol.Coordinated
+		n32 := 3*nR + (sc.Layers + 1) + 3*treeN + 2*(treeN+1) + 2*rowLen + 4*nEdges
+		if bitmaps {
+			n32 += nR // slotOf
+		}
+		n64 := nR + 2*nEdges
+		if shared {
+			n64 += rowLen // got
+		}
+		s32 := make([]int32, n32)
+		s64 := make([]int64, n64)
 		nf := 2*sc.Layers + 1 + 2*nEdges
 		if cfg.LeaveLatency > 0 {
 			nf += nEdges << s.rowShift
@@ -1012,6 +1067,10 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		s.crossed = take64(nEdges)
 		s.lossGap = take64(nEdges)
 		s.countdown = take64(nR)
+		var got []int64
+		if shared {
+			got = take64(rowLen)
+		}
 		s.period = takeF(sc.Layers)
 		s.cum = takeF(sc.Layers + 1)
 		s.fluidInt = takeF(nEdges)
@@ -1146,6 +1205,26 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 			e.applyLevelChange(s, &e.walk, k, 1)
 			e.armReceiver(s, &e.walk, k, 1)
 		}
+		// The delivery counters and subscription bitmaps join only now:
+		// before the first packet there is no delivery offset to settle,
+		// so the bring-up above skips resubscribe, and with every
+		// receiver at level 1 the bitmaps hold exactly the
+		// multi-receiver nodes' slots at level 0.
+		s.got = got
+		if bitmaps {
+			s.bmWords = int32((nR + 63) >> 6)
+			s.subBits = make([]uint64, sc.Layers*int(s.bmWords))
+			s.slotOf = take32(nR)
+			for nd := 0; nd < treeN; nd++ {
+				lo, hi := s.recvStart[nd], s.recvStart[nd+1]
+				for x := lo; x < hi; x++ {
+					s.slotOf[s.recvList[x]] = x
+					if hi-lo > 1 {
+						s.subBits[x>>6] |= 1 << (x & 63)
+					}
+				}
+			}
+		}
 		if nEdges > maxEdges {
 			maxEdges = nEdges
 		}
@@ -1215,6 +1294,10 @@ func (e *engine) applyLevelChange(s *sessState, w *walker, k int, nl int32) {
 		return
 	}
 	s.levels[k] = nl
+	nd := s.recvNode[k]
+	if s.got != nil && s.recvStart[nd+1]-s.recvStart[nd] > 1 {
+		s.resubscribe(w, k, nd, a, nl)
+	}
 	if j := w.sub; j < 0 {
 		s.levelInt += float64(s.sumLevel) * (e.now - s.levelT)
 		s.levelT = e.now
@@ -1231,15 +1314,67 @@ func (e *engine) applyLevelChange(s *sessState, w *walker, k int, nl int32) {
 		p.nAtLevel[row+a]--
 		p.nAtLevel[row+nl]++
 	}
-	e.propagateFrom(s, w, s.recvNode[k], a, nl)
+	e.propagateFrom(s, w, nd, a, nl)
 	if p := e.part; p != nil && w.sub < 0 {
 		// Sequential-phase changes (churn, signals, core-walk drops)
 		// propagate straight through cut edges; re-sync the owning
 		// subtree's rollup snapshot so the deferred path stays coherent.
-		if j := p.subOfNode[s.recvNode[k]]; j >= 0 {
+		if j := p.subOfNode[nd]; j >= 0 {
 			p.prevRootMax[j] = s.subMax[p.subRoot[j]]
 		}
 	}
+}
+
+// resubscribe moves receiver k of multi-receiver node nd from level a
+// to level b: it settles the delivery offset so delivered(k) does not
+// move (the row's counters at levels [a, b) stop, or start, counting
+// for k), and flips k's bit in the bitmaps of those levels. A fan-out
+// walker flips bits atomically: the word may hold receivers of a
+// subtree another worker is walking.
+func (s *sessState) resubscribe(w *walker, k int, nd, a, b int32) {
+	lo, hi := min(a, b), max(a, b)
+	row := nd << s.rowShift
+	var n int64
+	for v := lo; v < hi; v++ {
+		n += s.got[row+v]
+	}
+	if b > a {
+		n = -n
+	}
+	s.received[k] += int(n)
+	if s.subBits == nil {
+		return
+	}
+	x := s.slotOf[k]
+	bit := uint64(1) << (x & 63)
+	for i, v := lo*s.bmWords+x>>6, lo; v < hi; i, v = i+s.bmWords, v+1 {
+		p := &s.subBits[i]
+		switch {
+		case w.sub < 0 && b > a:
+			*p |= bit
+		case w.sub < 0:
+			*p &^= bit
+		case b > a:
+			atomic.OrUint64(p, bit)
+		default:
+			atomic.AndUint64(p, ^bit)
+		}
+	}
+}
+
+// delivered returns receiver k's delivered-packet count: its offset
+// plus its node's per-layer counters below its level (all zero at a
+// single-receiver node, whose count is the offset itself).
+func (s *sessState) delivered(k int) int {
+	n := s.received[k]
+	if s.got == nil {
+		return n
+	}
+	row := s.recvNode[k] << s.rowShift
+	for v := int32(0); v < s.levels[k]; v++ {
+		n += int(s.got[row+v])
+	}
+	return n
 }
 
 // propagateFrom bubbles a contribution change (level a -> b) at node nd
@@ -1352,6 +1487,85 @@ func (e *engine) congestReceiver(s *sessState, w *walker, k int) {
 	}
 }
 
+// deliverSingle is the walk's inline delivery to a node hosting exactly
+// one receiver (receiver block [lo, hi)): the receiver, if subscribed,
+// counts the packet and, under a countdown protocol, steps its
+// countdown. It reports whether the node is done; false sends the walk
+// to deliverNode, for a node hosting several receivers or a countdown
+// that ran out. Small enough to inline, so star leaves pay no call.
+func (s *sessState) deliverSingle(layer, lo, hi int32, countJoins bool) bool {
+	if hi-lo != 1 {
+		return false
+	}
+	k := s.recvList[lo]
+	if s.levels[k] <= layer {
+		return true
+	}
+	s.received[k]++
+	if !countJoins {
+		return true
+	}
+	s.countdown[k]--
+	return s.countdown[k] > 0
+}
+
+// deliverNode finishes a delivery deliverSingle handed on: a single
+// receiver's join, or a multi-receiver node (row its got row, [lo, hi)
+// its receiver block) via deliverShared. Every walk variant and the
+// entry node reach multi-receiver nodes through here alone.
+func (e *engine) deliverNode(s *sessState, w *walker, layer, row, lo, hi int32, countJoins bool) {
+	if hi-lo == 1 {
+		e.joinReceiver(s, w, int(s.recvList[lo]))
+		return
+	}
+	e.deliverShared(s, w, layer, row, lo, hi, countJoins)
+}
+
+// deliverShared delivers a packet of the layer to a multi-receiver node:
+// one bump of the node's counter for the layer covers every subscribed
+// receiver's count, so a Coordinated delivery touches no receiver at
+// all. Under a countdown protocol it then visits exactly the subscribed
+// receivers — the set bits of the layer's bitmap over slots [lo, hi),
+// lowest slot first, the order a scan of recvList would take — and
+// steps their countdowns. A join moves its receiver to a level above
+// the layer, so the layer's bitmap holds still while it is read.
+func (e *engine) deliverShared(s *sessState, w *walker, layer, row, lo, hi int32, countJoins bool) {
+	s.got[row+layer]++
+	if !countJoins {
+		return
+	}
+	bm := s.subBits[layer*s.bmWords : (layer+1)*s.bmWords]
+	wi, last := lo>>6, (hi-1)>>6
+	word := atomic.LoadUint64(&bm[wi]) & (^uint64(0) << (lo & 63))
+	for {
+		if wi == last {
+			word &= ^uint64(0) >> (63 - (hi-1)&63)
+		}
+		for word != 0 {
+			k := s.recvList[wi<<6|int32(bits.TrailingZeros64(word))]
+			word &= word - 1
+			s.countdown[k]--
+			if s.countdown[k] <= 0 {
+				e.joinReceiver(s, w, int(k))
+			}
+		}
+		if wi == last {
+			return
+		}
+		wi++
+		word = atomic.LoadUint64(&bm[wi])
+	}
+}
+
+// deliverAt delivers a packet of the layer to the receivers hosted at
+// node, a walk's entry node, which hosts at least one.
+func (e *engine) deliverAt(s *sessState, w *walker, layer, node int32, countJoins bool) {
+	lo, hi := s.recvStart[node], s.recvStart[node+1]
+	if !s.deliverSingle(layer, lo, hi, countJoins) {
+		e.deliverNode(s, w, layer, node<<s.rowShift, lo, hi, countJoins)
+	}
+}
+
 // forward drains one packet through the session tree from node at time
 // t on walk context w: one fused, allocation-free loop over w's work
 // stack of edge ids. Per hop it reads the 32-byte hot edge record
@@ -1374,18 +1588,10 @@ func (e *engine) congestReceiver(s *sessState, w *walker, k int) {
 func (e *engine) forward(s *sessState, w *walker, layer, node int32, t float64) {
 	countJoins := s.cfg.Protocol != protocol.Coordinated
 	// Entry node: deliver to its receivers, then seed the walk with its
-	// eligible children.
-	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer { // departed receivers sit at level 0
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, w, int(k))
-				}
-			}
-		}
+	// eligible children. An entry node hosting no receivers (the sender,
+	// on every committed topology) skips the call.
+	if s.recvStart[node+1] > s.recvStart[node] {
+		e.deliverAt(s, w, layer, node, countJoins)
 	}
 	if s.lossOnly {
 		e.forwardLossOnly(s, w, layer, node, countJoins)
@@ -1462,17 +1668,8 @@ func (e *engine) forward(s *sessState, w *walker, layer, node int32, t float64) 
 			continue
 		}
 		// Deliver to the entered node's receivers.
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, w, int(k))
-					}
-				}
-			}
+		if ed.recvHi > ed.recvLo && !s.deliverSingle(layer, ed.recvLo, ed.recvHi, countJoins) {
+			e.deliverNode(s, w, layer, ed.gtOff, ed.recvLo, ed.recvHi, countJoins)
 		}
 		// Expand the entered node's eligible children and tail-descend
 		// into the first one (in the same order the stack would yield).
@@ -1566,17 +1763,8 @@ func (e *engine) forwardLossOnly(s *sessState, w *walker, layer, node int32, cou
 				continue
 			}
 		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, w, int(k))
-					}
-				}
-			}
+		if ed.recvHi > ed.recvLo && !s.deliverSingle(layer, ed.recvLo, ed.recvHi, countJoins) {
+			e.deliverNode(s, w, layer, ed.gtOff, ed.recvLo, ed.recvHi, countJoins)
 		}
 		if ed.meta&metaWide != 0 {
 			if ed.meta&metaCut != 0 {
@@ -1635,17 +1823,8 @@ func (e *engine) forwardCapOnly(s *sessState, w *walker, layer, node int32, coun
 				continue
 			}
 		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, w, int(k))
-					}
-				}
-			}
+		if ed.recvHi > ed.recvLo && !s.deliverSingle(layer, ed.recvLo, ed.recvHi, countJoins) {
+			e.deliverNode(s, w, layer, ed.gtOff, ed.recvLo, ed.recvHi, countJoins)
 		}
 		if ed.meta&metaWide != 0 {
 			if ed.meta&metaCut != 0 {
@@ -1731,17 +1910,8 @@ func (s *sessState) pushEligibleLinger(st []int32, nd, layer int32, t float64) [
 // trees are never partitioned, so no edge here is a cut edge.
 func (e *engine) forwardLinger(s *sessState, w *walker, layer, node int32, t float64) {
 	countJoins := s.cfg.Protocol != protocol.Coordinated
-	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer {
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, w, int(k))
-				}
-			}
-		}
+	if s.recvStart[node+1] > s.recvStart[node] {
+		e.deliverAt(s, w, layer, node, countJoins)
 	}
 	st := s.pushEligibleLinger(w.stack[:0], node, layer, t)
 	for len(st) > 0 {
@@ -1796,17 +1966,8 @@ func (e *engine) forwardLinger(s *sessState, w *walker, layer, node int32, t flo
 			e.notifyLoss(s, w, layer, eid)
 			continue
 		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, w, int(k))
-					}
-				}
-			}
+		if ed.recvHi > ed.recvLo && !s.deliverSingle(layer, ed.recvLo, ed.recvHi, countJoins) {
+			e.deliverNode(s, w, layer, ed.gtOff, ed.recvLo, ed.recvHi, countJoins)
 		}
 		st = s.pushEligibleLinger(st, ed.gtOff>>s.rowShift, layer, t)
 	}

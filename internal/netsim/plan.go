@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"unsafe"
+
+	"mlfair/internal/protocol"
 )
 
 // MemoryPlan is PlanMemory's prediction of an engine's peak heap, in
@@ -31,7 +33,9 @@ type MemoryPlan struct {
 	// separately only so logs read naturally.
 	Subtrees, CutFrontier int
 	// SessionBytes is the sum of every session's slab footprint: the
-	// CSR tree, receiver protocol arrays, and subscription rows. The
+	// CSR tree, receiver protocol arrays, subscription rows and, where a
+	// node hosts several receivers, delivery counter rows and (countdown
+	// protocols) the subscription bitmaps with their slot index. The
 	// receivers below an edge are a range of the pre-order receiver
 	// list, so downstream sets cost one int32 per edge.
 	SessionBytes int64
@@ -77,6 +81,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		szCap   = int64(unsafe.Sizeof(capDemand{}))
 		szLink  = int64(unsafe.Sizeof(linkState{}))
 		szLS    = int64(unsafe.Sizeof(LinkStats{}))
+		szWalk  = int64(unsafe.Sizeof(walker{}))
 	)
 
 	// Shard groups are a pure function of the topology; computed up
@@ -109,6 +114,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	// guards — so the plan carries the partition slabs and the subtree
 	// counts the engines will build.
 	visited := make([]int32, nn)
+	hostMark := make([]int32, nn)
 	var cnt, visitB, rootMark, nodesCnt []int32
 	var partFixed, partScratch int64
 	maxEdges, maxTreeN, totR := 0, 0, 0
@@ -129,8 +135,14 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		hasDT := false
 		visited[ns.Sender] = epoch
 		nE := 0
+		shared := false // some node hosts several receivers (as newEngineFor)
 		for k, run := 0, 0; k < len(ns.Receivers); k += run {
 			run = net.PathRun(i, k)
+			if host := ns.Receivers[k]; run > 1 || hostMark[host] == epoch {
+				shared = true
+			} else {
+				hostMark[host] = epoch
+			}
 			cur := ns.Sender
 			for _, j := range net.Path(i, k) {
 				nb := g.Other(j, cur)
@@ -219,11 +231,12 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 					// subRoot/cutEid/prevRootMax, the per-subtree level
 					// rows, arrivals, and the rng slice + PCG states.
 					int64(numSub)*(12+4*int64(L+1)+24+4+8+64) +
-					// Per-worker DFS stacks, planned at the widest
-					// setWorkers can reach (one worker per subtree) so
-					// the plan, like the Result, is the same for every
-					// Shards >= 1.
-					int64(numSub)*(8+4*int64(maxStack))
+					// Per-worker walk contexts and DFS stacks (a stack
+					// stride of maxStack+16 int32s, see ensure), planned
+					// at the widest setWorkers can reach (one worker per
+					// subtree) so the plan, like the Result, is the same
+					// for every Shards >= 1.
+					int64(numSub)*(szWalk+4*int64(maxStack+16))
 				partScratch += 8 * int64(treeN) // counts + sizes
 			}
 		}
@@ -234,6 +247,14 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		rowLen := treeN << rowShift
 		n32 := 3*nR + (L + 1) + 3*treeN + 2*(treeN+1) + 2*rowLen + 4*nE
 		n64 := nR + 2*nE
+		var bitmaps int64
+		if shared {
+			n64 += rowLen // got
+			if cfg.Sessions[i].Protocol != protocol.Coordinated {
+				n32 += nR // slotOf
+				bitmaps = 8 * int64(L) * int64((nR+63)>>6)
+			}
+		}
 		nf := 2*L + 1 + 2*nE
 		if cfg.LeaveLatency > 0 {
 			nf += nE << rowShift
@@ -241,7 +262,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		nb := nR + 2*treeN
 		p.SessionBytes += 4*int64(n32) + 8*int64(n64) + 8*int64(nf) + int64(nb) +
 			8*int64(nR) + // received
-			szHot*int64(nE) + szCold*int64(nE)
+			bitmaps + szHot*int64(nE) + szCold*int64(nE)
 		if nE > maxEdges {
 			maxEdges = nE
 		}
@@ -289,7 +310,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	// Construction scratch: global-id discovery arrays plus the largest
 	// session's child lists and pre-order worklists; sharded runs build
 	// engines sequentially, so one copy is live at a time.
-	p.ScratchBytes = int64(nn)*(4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 12*int64(maxTreeN) +
+	p.ScratchBytes = int64(nn)*(4+4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 12*int64(maxTreeN) +
 		partScratch // newTreePartition's counts + sizes accumulators
 
 	// Result fold: per-receiver outputs, the dense (session, link)

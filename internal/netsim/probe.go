@@ -172,7 +172,7 @@ func (p *probeState) flush(e *engine, t float64) {
 		s := &e.sess[i]
 		off := int(p.recvOff[i])
 		for k := range s.received {
-			cur := int64(s.received[k])
+			cur := int64(s.delivered(k))
 			p.recvDelta[rBase+off+k] = cur - p.lastRecv[off+k]
 			p.lastRecv[off+k] = cur
 			p.levels[rBase+off+k] = s.levels[k]
@@ -269,7 +269,9 @@ func mergeProbes(cfg Config, engines []*engine) *ProbeSeries {
 
 // ProbeSeries is the run's retained observation windows in
 // chronological order — the time-resolved view the timeseries and
-// convergence stages consume. Sample s covers [Starts[s], Times[s]).
+// convergence stages consume. Sample s covers (Starts[s], Times[s]]:
+// an event exactly at a boundary counts in the window closing there
+// (see ProbeConfig).
 type ProbeSeries struct {
 	// Times[s] is sample s's window close time; Starts[s] its start.
 	Times  []float64

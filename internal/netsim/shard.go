@@ -354,7 +354,8 @@ func foldResult(cfg Config, engines []*engine, horizon float64) *Result {
 				levelInt := e.sessionLevelIntegral(s, horizon)
 				res.MeanLevels[gi] = levelInt / horizon / float64(len(s.received))
 			}
-			for k, n := range s.received {
+			for k := range s.received {
+				n := s.delivered(k)
 				res.ReceiverPackets[gi][k] = n
 				res.FinalLevels[gi][k] = int(s.levels[k])
 				res.Events += int64(n)

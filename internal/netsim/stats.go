@@ -94,11 +94,13 @@ func flushStats(st *EngineStats, engines []*engine, res *Result) {
 				crossed += s.crossed[eid]
 				drops += s.cold[eid].drops
 			}
-			for _, n := range s.received {
-				delivered += int64(n)
-			}
 		}
 		heapHW = max(heapHW, e.heapHW)
+	}
+	for _, rp := range res.ReceiverPackets {
+		for _, n := range rp {
+			delivered += int64(n)
+		}
 	}
 	st.Transmissions.Add(sent)
 	st.CalendarTicks.Add(ticks)

@@ -20,9 +20,15 @@ import (
 // Bernoulli access links put RNG draws inside the parallel subtrees.
 func planetaryOneCfg(t *testing.T, packets int, seed uint64) (Config, int) {
 	t.Helper()
+	return planetaryPoPCfg(t, 32, packets, seed)
+}
+
+// planetaryPoPCfg is planetaryOneCfg with perPoP receivers at each PoP.
+func planetaryPoPCfg(t *testing.T, perPoP, packets int, seed uint64) (Config, int) {
+	t.Helper()
 	rng := rand.New(rand.NewPCG(5, 5))
 	net, firstAccess, err := topology.Planetary(rng, topology.PlanetaryOptions{
-		Regions: 1, CoreNodes: 32, PoPs: 256, ReceiversPerPoP: 32,
+		Regions: 1, CoreNodes: 32, PoPs: 256, ReceiversPerPoP: perPoP,
 		CoreCap: 64, AccessCap: 32,
 	})
 	if err != nil {
@@ -205,6 +211,56 @@ func TestSubtreeExplicitCutFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 6} {
+		cfg.Shards = shards
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Shards=%d diverged from Shards=1", shards)
+		}
+	}
+}
+
+// TestSubtreeStraddledWords: with 37 receivers per PoP, cut at the
+// access links, the subtrees' receiver slot ranges are not 64-aligned,
+// so subscription-bitmap words are shared by two subtrees and the
+// fan-out walkers of an Uncoordinated session over lossy access links
+// flip bits of one word concurrently. The test asserts the sharing,
+// then checks the Result is identical at Shards 1, 2 and 4. CI runs it
+// repeatedly under -race.
+func TestSubtreeStraddledWords(t *testing.T) {
+	cfg, firstAccess := planetaryPoPCfg(t, 37, 4000, 13)
+	cfg.CutLinks = topology.PlanetaryCutFrontier(firstAccess, cfg.Network.NumLinks())
+	cfg.Shards = 1
+	e, err := newEngineFor(cfg, []int{0}, nil, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, p := &e.sess[0], e.part
+	if p == nil || s.subBits == nil {
+		t.Fatal("no partition or no subscription bitmaps")
+	}
+	owner := make(map[int32]int32) // bitmap word -> first subtree with a slot in it
+	shared := 0
+	for j := range p.subRoot {
+		lo, hi := s.recvStart[p.subRoot[j]], s.downHi[p.cutEid[j]]
+		for wi := lo >> 6; hi > lo && wi <= (hi-1)>>6; wi++ {
+			if o, ok := owner[wi]; !ok {
+				owner[wi] = int32(j)
+			} else if o != int32(j) {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no bitmap word is shared by two subtrees")
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 4} {
 		cfg.Shards = shards
 		got, err := Run(cfg)
 		if err != nil {
