@@ -504,35 +504,6 @@ func BenchmarkNetsimPlanetary1M(b *testing.B) {
 	benchNetsimPlanetary(b, topology.PlanetaryOptions1M(), 16384, runtime.NumCPU())
 }
 
-// planetaryOptions1MOneRegion is the single-session 2^20-receiver
-// shape: one region, 16384 PoPs x 64 receivers on a 128-router core.
-// Session-group sharding cannot split one session, so any speedup here
-// comes purely from the intra-session subtree fan-out (the auto cut
-// frontier engages on the per-PoP receiver population).
-func planetaryOptions1MOneRegion() topology.PlanetaryOptions {
-	o := topology.PlanetaryOptions1M()
-	o.Regions = 1
-	o.PoPs = 16384
-	return o
-}
-
-// BenchmarkNetsimPlanetary1MSubtree measures the multi-core execution
-// of one giant session: 2^20 receivers in a single tree, subtree-
-// sharded across the machine's cores. Its events/sec against the
-// sequential twin below is the shard-scaling figure CI derives as a
-// "speedup" metric (benchjson -speedup); the Result is byte-identical
-// to the twin's for any shard count.
-func BenchmarkNetsimPlanetary1MSubtree(b *testing.B) {
-	benchNetsimPlanetary(b, planetaryOptions1MOneRegion(), 16384, runtime.NumCPU())
-}
-
-// BenchmarkNetsimPlanetary1MSubtreeSeq is the sequential twin: the
-// identical single-session tree with Shards = 0, one event loop, no
-// partition. Only the execution strategy differs.
-func BenchmarkNetsimPlanetary1MSubtreeSeq(b *testing.B) {
-	benchNetsimPlanetary(b, planetaryOptions1MOneRegion(), 16384, 0)
-}
-
 // BenchmarkNetsimPlanetary10M is the 10^7-receiver single run: 8
 // regions x 20480 PoPs x 64 receivers (1.3M links). The interesting
 // number is peak-RSS-bytes — the run must fit the documented planetary

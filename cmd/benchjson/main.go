@@ -35,13 +35,8 @@
 // throughput comparisons across toolchains, architectures, or
 // machine sizes are advisory, not authoritative.
 //
-// -speedup derives a "speedup" metric on parallel/sequential twin
-// pairs ("Par=Seq", comma-separated) from this run's events/sec, so
-// shard-scaling benchmarks carry their ratio into the document.
-//
 // -overhead gates instrumentation cost within the current run alone,
-// independent of any baseline (and usable without -check — the PGO CI
-// job feeds a merged PGO+NoPGO run and uses only this gate): each
+// independent of any baseline (and usable without -check): each
 // "Instr=Base:frac" pair requires the instrumented benchmark to hold
 // at least (1-frac) of its base twin's events/sec and to add no
 // per-event allocations.
@@ -287,55 +282,6 @@ func envWarnings(baseline, current *Doc) string {
 	return rep.String()
 }
 
-// parseSpeedup parses a comma-separated list of "Par=Seq" benchmark
-// pairs ("BenchmarkXSubtree=BenchmarkXSubtreeSeq").
-func parseSpeedup(s string) ([][2]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var pairs [][2]string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		par, seq, ok := strings.Cut(part, "=")
-		if !ok || par == "" || seq == "" {
-			return nil, fmt.Errorf("speedup spec %q: want Par=Seq", part)
-		}
-		pairs = append(pairs, [2]string{par, seq})
-	}
-	return pairs, nil
-}
-
-// applySpeedup derives a "speedup" metric on each pair's parallel
-// benchmark — its events/sec over its sequential twin's, both measured
-// in this run — so shard-scaling twins carry their ratio into the
-// emitted document and dashboards need no cross-entry arithmetic. A
-// pair with a side missing (or a throughput-less twin) only warns: the
-// metric is derived data, not a gate.
-func applySpeedup(doc *Doc, pairs [][2]string) string {
-	byName := map[string]*Bench{}
-	for i := range doc.Benchmarks {
-		byName[normalizeName(doc.Benchmarks[i].Name)] = &doc.Benchmarks[i]
-	}
-	var rep strings.Builder
-	for _, pr := range pairs {
-		par, pok := byName[normalizeName(pr[0])]
-		seq, sok := byName[normalizeName(pr[1])]
-		if !pok || !sok {
-			fmt.Fprintf(&rep, "WARNING    speedup pair %s=%s: side absent from this run\n", pr[0], pr[1])
-			continue
-		}
-		pv, sv := par.Metrics["events/sec"], seq.Metrics["events/sec"]
-		if pv <= 0 || sv <= 0 {
-			fmt.Fprintf(&rep, "WARNING    speedup pair %s=%s: no positive events/sec on both sides\n", pr[0], pr[1])
-			continue
-		}
-		par.Metrics["speedup"] = pv / sv
-		fmt.Fprintf(&rep, "SPEEDUP    %s: %.2fx over %s\n",
-			normalizeName(par.Name), pv/sv, normalizeName(seq.Name))
-	}
-	return rep.String()
-}
-
 // overheadSpec is one parsed -overhead pair: the instrumented
 // benchmark must hold at least (1-maxFrac) of the base benchmark's
 // events/sec within the same run.
@@ -427,17 +373,11 @@ func checkOverhead(current *Doc, specs []overheadSpec) (string, bool) {
 func main() {
 	check := flag.String("check", "", "baseline JSON document to gate events/sec regressions against")
 	overhead := flag.String("overhead", "", "comma-separated Instr=Base:frac pairs gating instrumented overhead within this run (independent of -check)")
-	speedup := flag.String("speedup", "", "comma-separated Par=Seq pairs deriving a speedup metric on the parallel twin from this run's events/sec")
 	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated fractional events/sec regression vs the baseline")
 	maxAllocs := flag.Float64("max-allocs-per-event", 0.02, "absolute allocs/event budget for every benchmark reporting the metric (with -check)")
 	maxRSS := flag.Int64("max-rss-bytes", 0, "absolute peak-RSS-bytes budget for every benchmark reporting the metric (with -check; 0 disables)")
 	flag.Parse()
 	overheads, err := parseOverhead(*overhead)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	speedups, err := parseSpeedup(*speedup)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -449,9 +389,6 @@ func main() {
 	}
 	man := obs.NewManifest("benchjson")
 	doc.Manifest = &man
-	// Derived metrics land before the document is emitted, so the
-	// committed baseline carries them too.
-	fmt.Fprint(os.Stderr, applySpeedup(doc, speedups))
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
@@ -460,8 +397,7 @@ func main() {
 	}
 	// The gates are independent: -check compares against a committed
 	// baseline (and brings the allocs budget with it), while -overhead
-	// compares twin benchmarks within this run alone — the PGO CI job
-	// uses -overhead with no baseline at all.
+	// compares twin benchmarks within this run alone.
 	var failed, allocFailed, rssFailed bool
 	if *check != "" {
 		raw, err := os.ReadFile(*check)

@@ -314,45 +314,6 @@ func TestCheckRSS(t *testing.T) {
 	}
 }
 
-func TestParseSpeedup(t *testing.T) {
-	pairs, err := parseSpeedup("BenchmarkPar=BenchmarkSeq, BenchmarkX=BenchmarkY")
-	if err != nil || len(pairs) != 2 || pairs[0] != [2]string{"BenchmarkPar", "BenchmarkSeq"} {
-		t.Fatalf("pairs = %v, err = %v", pairs, err)
-	}
-	if pairs, err := parseSpeedup(""); err != nil || pairs != nil {
-		t.Fatalf("empty spec: %v, %v", pairs, err)
-	}
-	for _, bad := range []string{"BenchmarkPar", "=BenchmarkSeq", "BenchmarkPar="} {
-		if _, err := parseSpeedup(bad); err == nil {
-			t.Fatalf("bad spec %q accepted", bad)
-		}
-	}
-}
-
-// TestApplySpeedup: the derived metric lands on the parallel twin
-// (core-count suffixes ignored), and missing or throughput-less sides
-// warn without gating.
-func TestApplySpeedup(t *testing.T) {
-	doc := benchDoc(map[string]float64{"BenchmarkPar-8": 300, "BenchmarkSeq-8": 100})
-	rep := applySpeedup(doc, [][2]string{{"BenchmarkPar", "BenchmarkSeq"}})
-	var par *Bench
-	for i := range doc.Benchmarks {
-		if normalizeName(doc.Benchmarks[i].Name) == "BenchmarkPar" {
-			par = &doc.Benchmarks[i]
-		}
-	}
-	if par == nil || par.Metrics["speedup"] != 3 {
-		t.Fatalf("speedup metric not derived: %+v\n%s", doc.Benchmarks, rep)
-	}
-	if !strings.Contains(rep, "SPEEDUP") {
-		t.Fatalf("report missing SPEEDUP line:\n%s", rep)
-	}
-	rep = applySpeedup(doc, [][2]string{{"BenchmarkPar", "BenchmarkGone"}})
-	if !strings.Contains(rep, "WARNING") {
-		t.Fatalf("missing twin did not warn:\n%s", rep)
-	}
-}
-
 // TestEnvWarningsNumCPU: a host-CPU-count mismatch between manifests
 // warns (multi-core throughput is machine-size dependent) but never
 // fails by itself.

@@ -65,12 +65,10 @@ func NetsimPlanetary(w io.Writer, o NetsimOptions) error {
 		Packets:  o.Packets,
 		Seed:     o.Seed,
 		Shards:   runtime.NumCPU(),
-		// The access links are the Sreenivasan bottleneck boundary:
-		// cutting them shards each region's delivery fan-out across
-		// cores as per-PoP subtrees, while the thin core prefix stays
-		// one short sequential walk per engine. Results stay invariant
-		// in the shard and worker counts, so the golden output is
-		// machine-independent.
+		// The access links are the cut frontier the committed goldens
+		// were recorded under: each PoP is a subtree walked on its own
+		// RNG stream. Results stay invariant in the shard count, so
+		// the golden output is machine-independent.
 		CutLinks: topology.PlanetaryCutFrontier(firstAccess, net.NumLinks()),
 	})
 	plan, err := netsim.PlanMemory(cfg)

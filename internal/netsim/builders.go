@@ -99,7 +99,8 @@ func Mesh(ns, nr int, backbone LinkSpec, accessLoss float64, sc SessionConfig, p
 // UniformChurn synthesizes a periodic leave/rejoin schedule: every
 // interval time units, the next receiver (round-robin across all
 // sessions of the network) leaves and rejoins downtime later, until
-// horizon. It exercises pruning and fresh-join dynamics.
+// horizon, or until interval is too small to advance the round time.
+// It exercises pruning and fresh-join dynamics.
 func UniformChurn(net *netmodel.Network, interval, downtime, horizon float64) []ChurnEvent {
 	ids := net.ReceiverIDs()
 	if len(ids) == 0 || interval <= 0 || downtime <= 0 {
@@ -112,6 +113,9 @@ func UniformChurn(net *netmodel.Network, interval, downtime, horizon float64) []
 		evs = append(evs, ChurnEvent{Time: t, Session: id.Session, Receiver: id.Receiver, Join: false})
 		evs = append(evs, ChurnEvent{Time: t + downtime, Session: id.Session, Receiver: id.Receiver, Join: true})
 		i++
+		if t+interval == t {
+			break
+		}
 	}
 	return evs
 }

@@ -98,14 +98,18 @@ func (d *digester) floats(vs []float64) {
 
 // TestResultDigests pins the exact Results of the engine's execution
 // modes — Shards 0, multi-group sharding with and without a time-window
-// probe, and subtree fan-out on the auto and the explicit access-link
-// frontier under every protocol, probed and unprobed — to digests
+// probe, and a single-session group at Shards 2 uncut and cut at the
+// access links under every protocol, probed and unprobed — to digests
 // recorded from the engine as it stood before its execution paths were
 // merged. The invariance tests only compare Shards values with each
 // other; these catch a change that moves every mode at once. A planetary
 // tree cut at lossy (Bernoulli) access links and Capacity core links
 // draws loss and capacity coins from the subtree streams, which the
 // committed planetary goldens (cut at Perfect access links) never do.
+//
+// The planetary/auto cases set no CutLinks, so no tree is cut: their
+// single-group runs at Shards 2 must give the digests of the same
+// configs at Shards 0.
 //
 // The pop100 cases were recorded from the engine as it stood before
 // delivery at multi-receiver nodes became output-sensitive (per-layer
@@ -125,12 +129,12 @@ func TestResultDigests(t *testing.T) {
 		"disjoint/shards=0/probed":              "c29b162b32d00f50d1bcb0ec77a89ec304162ed63deed90f39d3fdc3c6d79e20",
 		"disjoint/shards=3":                     "e972c0f8f091ef8d0068d3d641fba4da9a35823d43061d7068e8be051c3a97b0",
 		"disjoint/shards=3/probed":              "a5adc6a063ef6afe11116290e29876e43cc32ecf384617dbdf572215cf657287",
-		"planetary/auto/Coordinated":            "3988648887dcbd5eefa7033ef339ce6f070348e345c6539bb162e8bb1ea578d4",
-		"planetary/auto/Coordinated/probed":     "43c4105e17fcd77df168b3c455c34973e80b2ad0cb0b643bc9f4150269e086dd",
-		"planetary/auto/Uncoordinated":          "c21a9efeef3f44dbf91979181262aca13c6d30638b266de452c7f7e4370b7610",
-		"planetary/auto/Uncoordinated/probed":   "95419a53443504ecf8b6380d2a6b32581c09cad23314e978dadc99448f41556a",
-		"planetary/auto/Deterministic":          "8b42b0560ab95f2ed94e1c4adc9fe40ee7e30cf14293b8d7f649a056df9a88b0",
-		"planetary/auto/Deterministic/probed":   "abe672214003ae9f7e84c7b45c7918dd5a264d1278ac55af11426b400f01f283",
+		"planetary/auto/Coordinated":            "e067ea744f625463c98ce01357c40ec746fdcc6305d1706af39553ccf8fb5bb2",
+		"planetary/auto/Coordinated/probed":     "bc1cfefff6c556a8901f9e7262269b9446f49a1e20d645a632c49613f6a31a16",
+		"planetary/auto/Uncoordinated":          "57ae34b81a7729ad7f22cb49f567321050bb28b9bd4fb86f82b65ecbbd22c47d",
+		"planetary/auto/Uncoordinated/probed":   "944857ef763b8d6683f57cf4bcfbfaacf2b3fc2d51fe8c4d16c4bbeb38c1a85f",
+		"planetary/auto/Deterministic":          "19d7ff695f70338449a79ec936bee5932349e2b6ed5e2d2207ec09051d2bf469",
+		"planetary/auto/Deterministic/probed":   "35a15b3d27944cbe6b62a279089d764b93cf6ec19cd097df9fd97391bc1f7d16",
 		"planetary/access/Coordinated":          "e067ea744f625463c98ce01357c40ec746fdcc6305d1706af39553ccf8fb5bb2",
 		"planetary/access/Coordinated/probed":   "bc1cfefff6c556a8901f9e7262269b9446f49a1e20d645a632c49613f6a31a16",
 		"planetary/access/Uncoordinated":        "595ae36a415da1e1ed8e4a21cbd817b1117cc8589d25ec5e37c8d6b96cedf12d",
@@ -183,8 +187,8 @@ func TestResultDigests(t *testing.T) {
 		if frontier == "access" {
 			cut.CutLinks = topology.PlanetaryCutFrontier(firstAccess, planetary.Network.NumLinks())
 		}
-		if partitionOf(t, cut) == nil {
-			t.Fatalf("%s frontier declined to cut the planetary tree", frontier)
+		if p := partitionOf(t, cut); (p != nil) != (frontier == "access") {
+			t.Fatalf("%s frontier: partition %v", frontier, p != nil)
 		}
 		for _, kind := range protocol.Kinds() {
 			for _, probe := range []*ProbeConfig{nil, {Window: 4, MaxSamples: 8}} {

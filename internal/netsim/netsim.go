@@ -103,7 +103,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"sync/atomic"
 
 	"mlfair/internal/layering"
 	"mlfair/internal/netmodel"
@@ -181,20 +180,18 @@ type Config struct {
 	// share no link (computed by union-find over link sets) run as
 	// independent event loops on up to Shards concurrent goroutines, each
 	// with its own calendar and a per-group RNG stream derived from Seed,
-	// merged deterministically at result time. A group holding one giant
-	// session is additionally decomposed below a cut frontier into
-	// link-disjoint subtrees that fan out across workers (see subtree.go
-	// and CutLinks). The Result is a pure function of the Config alone —
-	// every Shards >= 1 yields the identical Result, so the value only
-	// tunes parallelism, never output.
+	// merged deterministically at result time. The Result is a pure
+	// function of the Config alone — every Shards >= 1 yields the
+	// identical Result, so the value only tunes parallelism, never
+	// output.
 	Shards int
-	// CutLinks, under Shards >= 1, names the links whose tree edges form
-	// the subtree-sharding cut frontier for single-session shard groups
-	// (for the planetary topology: the access links below firstAccess).
-	// Empty selects an automatic cost-balanced frontier from per-subtree
-	// receiver counts. Like Shards itself, CutLinks only shapes the
-	// parallel decomposition — every frontier yields the same Result for
-	// a given Config; it is ignored at Shards == 0.
+	// CutLinks, under Shards >= 1, names the links whose tree edges cut
+	// a single-session shard group's tree into a core prefix and
+	// link-disjoint subtrees, each walked on its own RNG stream after the
+	// core walk (see subtree.go; for the planetary topology: the access
+	// links below firstAccess). The subtrees run sequentially; CutLinks
+	// selects a realization, not a degree of parallelism. Empty means no
+	// cut; it is ignored at Shards == 0.
 	CutLinks []int
 	// MemBudget, when positive, caps the engine's planned peak memory in
 	// bytes: Run calls PlanMemory first and fails fast — before any
@@ -497,9 +494,9 @@ type hotEdge struct {
 const (
 	metaKindMask uint32 = 0x7
 	metaWide     uint32 = 1 << 3
-	// metaCut marks a subtree-sharding cut edge (see subtree.go): the
+	// metaCut marks a subtree-partition cut edge (see subtree.go): the
 	// core walk fixes its admission outcome but never descends through
-	// it — the subtree below runs in the parallel fan-out phase. A cut
+	// it — the subtree below is walked once the core walk returns. A cut
 	// edge also carries metaWide and an empty receiver block
 	// (recvHi == recvLo), so the walk's common path never tests metaCut.
 	metaCut uint32 = 1 << 4
@@ -647,9 +644,7 @@ type sessState struct {
 	// k's slot x. A packet of layer v visits exactly the set bits of its
 	// node's slot range (deliverShared), in ascending slot order, so
 	// countdowns and joins see receivers in the order a scan of recvList
-	// would. Two subtrees' slot ranges may share a word, so fan-out
-	// walkers write bits atomically and every reader loads words
-	// atomically.
+	// would.
 	subBits []uint64
 	slotOf  []int32
 	bmWords int32
@@ -775,7 +770,6 @@ type engine struct {
 	// it. Every engine owns its rows outright, so sharded group engines
 	// never share a sentinel cache line.
 	capDem      []capDemand
-	capSentinel int32
 	trackDemand bool
 	// linkLayerLoss[j] is link j's per-layer Bernoulli loss table,
 	// indexed by graph link; nil unless some spec sets LayerLoss (the
@@ -833,10 +827,10 @@ type engine struct {
 	walk walker
 }
 
-// walker is one worker's walk context: the RNG stream the walk draws
-// from, the tree part its level accounting covers, and its reusable DFS
-// work stack of edge ids. The engine's own walker (sub -1, root 0)
-// covers the whole tree; a subtree fan-out worker re-points its walker
+// walker is a walk context: the RNG stream the walk draws from, the
+// tree part its level accounting covers, and its reusable DFS work
+// stack of edge ids. The engine's own walker (sub -1, root 0) covers
+// the whole tree; a partitioned engine's subtree walker is re-pointed
 // at each subtree it walks (see subtree.go), so the one forward walk
 // and the one set of receiver handlers serve both.
 type walker struct {
@@ -847,9 +841,6 @@ type walker struct {
 	// above it is the rollup's).
 	sub, root int32
 	stack     []int32
-	// A cache line after the hot fields keeps the walkers of different
-	// workers off each other's lines.
-	_ [64]byte
 }
 
 // newEngineFor builds an engine that owns a subset of the network's
@@ -892,7 +883,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	}
 	// The extra row is the always-admit sentinel non-Capacity edges
 	// alias via capIdx; capRemap translates graph link -> dense row.
-	e.capSentinel = int32(numCap)
+	capSentinel := int32(numCap)
 	e.capDem = make([]capDemand, numCap+1)
 	e.capDem[numCap] = capDemand{cap: math.Inf(1)}
 	var capRemap []int32
@@ -1133,7 +1124,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 			for _, ed := range gChildren[globalOf[ind]] {
 				eid := int32(len(s.hot))
 				child := intern[ed.child]
-				capIdx := e.capSentinel
+				capIdx := capSentinel
 				if ed.kind == ekCapacity {
 					capIdx = capRemap[ed.link]
 				}
@@ -1263,9 +1254,9 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		e.probe = newProbeState(cfg.Probe, e)
 	}
 	// Intra-session subtree decomposition: only for sharded group engines
-	// holding a single session (Shards == 0 never partitions).
-	// Eligibility and the frontier are pure functions of the Config,
-	// never of Shards' value or core count.
+	// holding a single session with explicit CutLinks (Shards == 0 never
+	// partitions). Eligibility and the frontier are pure functions of the
+	// Config, never of Shards' value or core count.
 	if cfg.Shards > 0 && len(e.sess) == 1 {
 		e.part = newTreePartition(e, &e.sess[0], seed)
 	}
@@ -1296,7 +1287,7 @@ func (e *engine) applyLevelChange(s *sessState, w *walker, k int, nl int32) {
 	s.levels[k] = nl
 	nd := s.recvNode[k]
 	if s.got != nil && s.recvStart[nd+1]-s.recvStart[nd] > 1 {
-		s.resubscribe(w, k, nd, a, nl)
+		s.resubscribe(k, nd, a, nl)
 	}
 	if j := w.sub; j < 0 {
 		s.levelInt += float64(s.sumLevel) * (e.now - s.levelT)
@@ -1305,7 +1296,7 @@ func (e *engine) applyLevelChange(s *sessState, w *walker, k int, nl int32) {
 		s.nAtLevel[a]--
 		s.nAtLevel[nl]++
 	} else {
-		// A fan-out walk: the subtree's own row, contention-free.
+		// A subtree walk: the subtree's own row.
 		p := e.part
 		p.levelInt[j] += float64(p.sumLevel[j]) * (e.now - p.levelT[j])
 		p.levelT[j] = e.now
@@ -1328,10 +1319,8 @@ func (e *engine) applyLevelChange(s *sessState, w *walker, k int, nl int32) {
 // resubscribe moves receiver k of multi-receiver node nd from level a
 // to level b: it settles the delivery offset so delivered(k) does not
 // move (the row's counters at levels [a, b) stop, or start, counting
-// for k), and flips k's bit in the bitmaps of those levels. A fan-out
-// walker flips bits atomically: the word may hold receivers of a
-// subtree another worker is walking.
-func (s *sessState) resubscribe(w *walker, k int, nd, a, b int32) {
+// for k), and flips k's bit in the bitmaps of those levels.
+func (s *sessState) resubscribe(k int, nd, a, b int32) {
 	lo, hi := min(a, b), max(a, b)
 	row := nd << s.rowShift
 	var n int64
@@ -1348,16 +1337,10 @@ func (s *sessState) resubscribe(w *walker, k int, nd, a, b int32) {
 	x := s.slotOf[k]
 	bit := uint64(1) << (x & 63)
 	for i, v := lo*s.bmWords+x>>6, lo; v < hi; i, v = i+s.bmWords, v+1 {
-		p := &s.subBits[i]
-		switch {
-		case w.sub < 0 && b > a:
-			*p |= bit
-		case w.sub < 0:
-			*p &^= bit
-		case b > a:
-			atomic.OrUint64(p, bit)
-		default:
-			atomic.AndUint64(p, ^bit)
+		if b > a {
+			s.subBits[i] |= bit
+		} else {
+			s.subBits[i] &^= bit
 		}
 	}
 }
@@ -1421,11 +1404,7 @@ func (e *engine) propagateFrom(s *sessState, w *walker, nd, a, b int32) {
 		s.fluidT[eid] = e.now
 		s.edgeSub[eid] = nm
 		if e.trackDemand {
-			// Non-Capacity edges alias the write-only sentinel row, which
-			// fan-out walks share and so leave alone.
-			if ci := s.hot[eid].capIdx; w.sub < 0 || ci != e.capSentinel {
-				e.capDem[ci].dem += s.cum[nm] - s.cum[om]
-			}
+			e.capDem[s.hot[eid].capIdx].dem += s.cum[nm] - s.cum[om]
 		}
 		if s.linger != nil && nm < om {
 			// Layers nm..om-1 just lost their last subscriber below this
@@ -1536,7 +1515,7 @@ func (e *engine) deliverShared(s *sessState, w *walker, layer, row, lo, hi int32
 	}
 	bm := s.subBits[layer*s.bmWords : (layer+1)*s.bmWords]
 	wi, last := lo>>6, (hi-1)>>6
-	word := atomic.LoadUint64(&bm[wi]) & (^uint64(0) << (lo & 63))
+	word := bm[wi] & (^uint64(0) << (lo & 63))
 	for {
 		if wi == last {
 			word &= ^uint64(0) >> (63 - (hi-1)&63)
@@ -1553,7 +1532,7 @@ func (e *engine) deliverShared(s *sessState, w *walker, layer, row, lo, hi int32
 			return
 		}
 		wi++
-		word = atomic.LoadUint64(&bm[wi])
+		word = bm[wi]
 	}
 }
 
@@ -1575,7 +1554,7 @@ func (e *engine) deliverAt(s *sessState, w *walker, layer, node int32, countJoin
 // exit time), delivers to the subscribed receivers, then tail-descends
 // into the first eligible child, pushing only the remaining siblings.
 // A packet admitted on a subtree cut edge (metaCut) is not descended
-// but recorded as an arrival for the fan-out phase: the core prefix of
+// but recorded as an arrival for the subtree phase: the core prefix of
 // a partitioned tree is this walk from the sender, and each subtree's
 // walk is this walk from its root on the subtree's context (subtree.go).
 // A cut edge's record reads as a wide edge with no receivers, so only
@@ -2024,8 +2003,7 @@ func Run(cfg Config) (*Result, error) {
 // budget — the whole Packets budget for a one-group run, the group's
 // share of it otherwise — running every scheduled event that precedes
 // each calendar tick first. On a partitioned engine each transmission
-// walks the core prefix and then fans out across the subtrees it
-// reached.
+// walks the core prefix and then the subtrees it reached.
 func (e *engine) run(budget int) {
 	for e.sent < budget {
 		// Next sender transmission: the lowest-index session holding the

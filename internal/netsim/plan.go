@@ -25,9 +25,9 @@ type MemoryPlan struct {
 	// Shards == 0, the link-connectivity component count when sharded).
 	Receivers, Links, Sessions, Groups int
 	// Subtrees is the total intra-session subtree count across every
-	// group engine that decomposes its single session's tree (see
-	// newTreePartition — the plan replays the same eligibility rules and
-	// frontier policy), zero when no engine partitions. CutFrontier is
+	// group engine that decomposes its single session's tree at
+	// Config.CutLinks (see newTreePartition — the plan replays the same
+	// eligibility rules), zero when no engine partitions. CutFrontier is
 	// the total cut-edge count; exactly one cut edge enters each
 	// subtree, so the two are equal by construction and reported
 	// separately only so logs read naturally.
@@ -81,7 +81,6 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		szCap   = int64(unsafe.Sizeof(capDemand{}))
 		szLink  = int64(unsafe.Sizeof(linkState{}))
 		szLS    = int64(unsafe.Sizeof(LinkStats{}))
-		szWalk  = int64(unsafe.Sizeof(walker{}))
 	)
 
 	// Shard groups are a pure function of the topology; computed up
@@ -108,29 +107,23 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	// Per-session slabs: replay the discovery walk with an epoch-stamped
 	// visited array to size each tree (distinct nodes reached by the
 	// session's paths) without building it, one walk per run of
-	// receivers sharing a path (netmodel.Network.PathRun). Sessions that
-	// run alone in their shard group additionally replay
-	// newTreePartition's frontier policy — same eligibility rules, same
-	// guards — so the plan carries the partition slabs and the subtree
-	// counts the engines will build.
+	// receivers sharing a path (netmodel.Network.PathRun). Under
+	// CutLinks, sessions that run alone in their shard group additionally
+	// replay newTreePartition's frontier — same eligibility rules — so
+	// the plan carries the partition slabs and the subtree counts the
+	// engines will build.
 	visited := make([]int32, nn)
 	hostMark := make([]int32, nn)
-	var cnt, visitB, rootMark, nodesCnt []int32
-	var partFixed, partScratch int64
+	var rootMark []int32
+	var partFixed int64
 	maxEdges, maxTreeN, totR := 0, 0, 0
 	for i := 0; i < S; i++ {
 		ns := net.Session(i)
 		L := cfg.Sessions[i].Layers
 		epoch := int32(i + 1)
-		doPart := groupOf != nil && groupSize[groupOf[i]] == 1 && cfg.LeaveLatency == 0
-		if doPart && cnt == nil {
-			cnt = make([]int32, nn)
-			visitB = make([]int32, nn)
+		doPart := cutSet != nil && groupOf != nil && groupSize[groupOf[i]] == 1 && cfg.LeaveLatency == 0
+		if doPart && rootMark == nil {
 			rootMark = make([]int32, nn)
-			nodesCnt = make([]int32, nn)
-		}
-		if doPart {
-			cnt[ns.Sender] = 0
 		}
 		hasDT := false
 		visited[ns.Sender] = epoch
@@ -148,17 +141,11 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 				nb := g.Other(j, cur)
 				if visited[nb] != epoch {
 					visited[nb] = epoch
-					if doPart {
-						cnt[nb] = 0
-					}
 					nE++
 				}
-				if doPart {
-					cnt[nb] += int32(run)
-					// Nil Links means every link is Perfect.
-					if cfg.Links != nil && cfg.Links[j].Kind == DropTail {
-						hasDT = true
-					}
+				// Nil Links means every link is Perfect.
+				if doPart && cfg.Links != nil && cfg.Links[j].Kind == DropTail {
+					hasDT = true
 				}
 				cur = nb
 			}
@@ -166,78 +153,32 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		treeN := 1 + nE
 		nR := ns.NumReceivers()
 		totR += nR
-		if doPart && !hasDT && treeN >= 3 && nR > 0 &&
-			(cutSet != nil || nR >= autoCutMinReceivers) {
-			// Frontier replay: walk each receiver path once more, cutting
-			// at the first frontier edge (explicit membership, or the
-			// auto threshold on the receiver counts gathered above —
-			// first-cut-wins is exactly newTreePartition's outermost
-			// collapse). Distinct roots give the subtree count, stamped
-			// node discovery the per-subtree sizes for the DFS stacks.
-			cnt[ns.Sender] = int32(nR)
-			c := int32(nR / autoCutTargetSubtrees)
-			if c < 1 {
-				c = 1
-			}
-			numSub, cutRecv := 0, 0
-			var roots []int32
-			visitB[ns.Sender] = epoch
+		if doPart && !hasDT && treeN >= 3 && nR > 0 {
+			// Frontier replay: walk each receiver path once more up to its
+			// first cut edge (first-cut-wins is exactly newTreePartition's
+			// outermost collapse); distinct roots give the subtree count.
+			numSub := 0
 			for k := 0; k < len(ns.Receivers); k += net.PathRun(i, k) {
 				cur := ns.Sender
-				root := int32(-1)
 				for _, j := range net.Path(i, k) {
 					nb := g.Other(j, cur)
-					if root < 0 {
-						isCut := false
-						if cutSet != nil {
-							isCut = cutSet[j]
-						} else {
-							isCut = cnt[nb] <= c && cnt[cur] > c
+					if cutSet[j] {
+						if rootMark[nb] != epoch {
+							rootMark[nb] = epoch
+							numSub++
 						}
-						if isCut {
-							root = int32(nb)
-							if rootMark[nb] != epoch {
-								rootMark[nb] = epoch
-								nodesCnt[nb] = 0
-								numSub++
-								cutRecv += int(cnt[nb])
-								roots = append(roots, int32(nb))
-							}
-						}
-					}
-					if visitB[nb] != epoch {
-						visitB[nb] = epoch
-						if root >= 0 {
-							nodesCnt[root]++
-						}
+						break
 					}
 					cur = nb
 				}
 			}
-			ok := numSub >= 2
-			if cutSet == nil && ok {
-				ok = cutRecv*2 >= nR && numSub*autoCutMinAvgReceivers <= cutRecv
-			}
-			if ok {
-				maxStack := 0
-				for _, r := range roots {
-					if n := int(nodesCnt[r]) - 1; n > maxStack {
-						maxStack = n
-					}
-				}
+			if numSub >= 2 {
 				p.Subtrees += numSub
 				p.CutFrontier += numSub
 				partFixed += 4*int64(treeN) + // subOfNode
 					// subRoot/cutEid/prevRootMax, the per-subtree level
 					// rows, arrivals, and the rng slice + PCG states.
-					int64(numSub)*(12+4*int64(L+1)+24+4+8+64) +
-					// Per-worker walk contexts and DFS stacks (a stack
-					// stride of maxStack+16 int32s, see ensure), planned
-					// at the widest setWorkers can reach (one worker per
-					// subtree) so the plan, like the Result, is the same
-					// for every Shards >= 1.
-					int64(numSub)*(szWalk+4*int64(maxStack+16))
-				partScratch += 8 * int64(treeN) // counts + sizes
+					int64(numSub)*(12+4*int64(L+1)+24+4+8+64)
 			}
 		}
 		rowShift := 1
@@ -310,8 +251,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	// Construction scratch: global-id discovery arrays plus the largest
 	// session's child lists and pre-order worklists; sharded runs build
 	// engines sequentially, so one copy is live at a time.
-	p.ScratchBytes = int64(nn)*(4+4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 12*int64(maxTreeN) +
-		partScratch // newTreePartition's counts + sizes accumulators
+	p.ScratchBytes = int64(nn)*(4+4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 12*int64(maxTreeN)
 
 	// Result fold: per-receiver outputs, the dense (session, link)
 	// scatter rows, the per-node best-goodput scratch, and the

@@ -19,7 +19,9 @@ import (
 // sub-simulations — each group gets its own engine, its own calendar
 // and event queue, and its own PCG stream derived from the replication
 // seed — which run concurrently on up to Shards goroutines and are
-// merged into one Result afterwards.
+// merged into one Result afterwards. Groups are the only concurrency:
+// each group engine, a subtree-partitioned one included (subtree.go),
+// runs on one goroutine.
 //
 // Determinism argument, piece by piece:
 //
@@ -56,7 +58,8 @@ import (
 //     Group 0 keeps the replication seed itself, so a network whose
 //     sessions all share one component (every committed benchmark
 //     topology) produces the byte-identical Result at every Shards,
-//     0 included, unless a single-session tree is subtree-partitioned.
+//     0 included, unless Config.CutLinks partitions a single-session
+//     tree (subtree.go).
 //
 // What sharded mode deliberately does not reproduce is the one-group
 // RNG interleaving ACROSS link-sharing groups: a multi-group run's
@@ -225,15 +228,6 @@ func runGroups(cfg Config) (*Result, error) {
 		}
 		engines[g] = e
 	}
-	// Partitioned engines (single giant session) spend the rest of the
-	// Shards budget on intra-session fan-out workers. Purely a
-	// parallelism split: worker counts never reach any output.
-	wPer := max(cfg.Shards/len(engines), 1)
-	for _, e := range engines {
-		if e.part != nil {
-			e.part.setWorkers(wPer)
-		}
-	}
 	runGroup := func(g int) {
 		e := engines[g]
 		e.run(budgets[g])
@@ -258,11 +252,6 @@ func runGroups(cfg Config) (*Result, error) {
 			}(g)
 		}
 		wg.Wait()
-	}
-	for _, e := range engines {
-		if e.part != nil {
-			e.part.stop()
-		}
 	}
 	if len(engines) == 1 {
 		horizon = engines[0].now

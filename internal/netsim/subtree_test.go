@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"mlfair/internal/netmodel"
 	"mlfair/internal/protocol"
@@ -14,21 +13,15 @@ import (
 )
 
 // planetaryOneCfg builds a single-region planetary config — one giant
-// session, so session-group sharding alone cannot parallelize it and
-// every Shards >= 1 run exercises the intra-session subtree path.
-// Capacity core links keep demand tracking live across the frontier;
-// Bernoulli access links put RNG draws inside the parallel subtrees.
+// session, so it runs as one shard group, and a Shards >= 1 run with
+// CutLinks set exercises the intra-session subtree path. Capacity core
+// links keep demand tracking live across the frontier; Bernoulli access
+// links put RNG draws inside the subtrees.
 func planetaryOneCfg(t *testing.T, packets int, seed uint64) (Config, int) {
-	t.Helper()
-	return planetaryPoPCfg(t, 32, packets, seed)
-}
-
-// planetaryPoPCfg is planetaryOneCfg with perPoP receivers at each PoP.
-func planetaryPoPCfg(t *testing.T, perPoP, packets int, seed uint64) (Config, int) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(5, 5))
 	net, firstAccess, err := topology.Planetary(rng, topology.PlanetaryOptions{
-		Regions: 1, CoreNodes: 32, PoPs: 256, ReceiversPerPoP: perPoP,
+		Regions: 1, CoreNodes: 32, PoPs: 256, ReceiversPerPoP: 32,
 		CoreCap: 64, AccessCap: 32,
 	})
 	if err != nil {
@@ -52,16 +45,11 @@ func planetaryPoPCfg(t *testing.T, perPoP, packets int, seed uint64) (Config, in
 }
 
 // scaleFreeCfg builds a single-session scale-free config with churn so
-// the sequential phases interleave with the parallel fan-out. ScaleFree
-// draws each session's receiver count uniformly in 1..MaxReceivers, so
-// the helper walks deterministic topology seeds until the draw is large
-// (expected a handful of tries). The shallow BA shortest-path tree
-// splinters the automatic frontier — hub children are mostly
-// single-receiver leaves, so the avg-receivers guard declines it (see
-// TestSubtreeShardInvarianceScaleFree, which pins that) — and the
-// config instead cuts every distinct depth-2 tree link explicitly,
-// which also stresses the work-stealing fan-out with wildly unequal
-// subtree sizes.
+// churn and signals interleave with the subtree walks. ScaleFree draws
+// each session's receiver count uniformly in 1..MaxReceivers, so the
+// helper walks deterministic topology seeds until the draw is large
+// (expected a handful of tries). The config cuts every distinct
+// depth-2 tree link, which gives wildly unequal subtree sizes.
 func scaleFreeCfg(t *testing.T, packets int, seed uint64) Config {
 	t.Helper()
 	o := topology.DefaultScaleFreeOptions()
@@ -82,14 +70,6 @@ func scaleFreeCfg(t *testing.T, packets int, seed uint64) Config {
 			t.Fatal("no scale-free seed drew >= 4500 receivers")
 		}
 	}
-	seen := make(map[int]bool)
-	var cut []int
-	for k := range net.Session(0).Receivers {
-		if p := net.Path(0, k); len(p) >= 2 && !seen[p[1]] {
-			seen[p[1]] = true
-			cut = append(cut, p[1])
-		}
-	}
 	specs := make([]LinkSpec, net.NumLinks())
 	for j := range specs {
 		specs[j] = LinkSpec{Kind: Bernoulli, Loss: 0.02}
@@ -100,7 +80,7 @@ func scaleFreeCfg(t *testing.T, packets int, seed uint64) Config {
 		Sessions: []SessionConfig{{Protocol: protocol.Coordinated, Layers: 8}},
 		Packets:  packets,
 		Seed:     seed,
-		CutLinks: cut,
+		CutLinks: depth2Cut(net),
 	}
 	cfg.Churn = []ChurnEvent{
 		{Time: 2, Session: 0, Receiver: 7, Join: false},
@@ -108,6 +88,21 @@ func scaleFreeCfg(t *testing.T, packets int, seed uint64) Config {
 		{Time: 3, Session: 0, Receiver: 4400, Join: false},
 	}
 	return cfg
+}
+
+// depth2Cut lists every distinct second link of session 0's receiver
+// paths: a frontier one hop below the sender's children, whose subtrees
+// hold inner links of their own.
+func depth2Cut(net *netmodel.Network) []int {
+	seen := make(map[int]bool)
+	var cut []int
+	for k := range net.Session(0).Receivers {
+		if p := net.Path(0, k); len(p) >= 2 && !seen[p[1]] {
+			seen[p[1]] = true
+			cut = append(cut, p[1])
+		}
+	}
+	return cut
 }
 
 // partitionOf builds the (single-group) shard engine for cfg and
@@ -121,17 +116,16 @@ func partitionOf(t *testing.T, cfg Config) *treePartition {
 	return e.part
 }
 
-// TestSubtreeShardInvariance is the tentpole contract on the planetary
-// shape: a single-session tree is decomposed (auto frontier) and every
-// Shards >= 1 — sequential fan-out, fewer workers than subtrees, more
-// workers than the machine has cores — yields the byte-identical
-// Result. Run under -race in CI, so the phase-2 disjointness claim is
-// machine-checked, not just argued.
+// TestSubtreeShardInvariance is the partition's contract on the
+// planetary shape: a single-session tree cut one hop below the sender's
+// children, so subtrees hold Capacity core links and lossy access links
+// of their own, yields the byte-identical Result at every Shards >= 1.
 func TestSubtreeShardInvariance(t *testing.T) {
 	cfg, _ := planetaryOneCfg(t, 20000, 9)
+	cfg.CutLinks = depth2Cut(cfg.Network)
 	cfg.Shards = 1
 	if p := partitionOf(t, cfg); p == nil {
-		t.Fatal("auto frontier declined to cut the planetary tree")
+		t.Fatal("depth-2 frontier declined to cut the planetary tree")
 	} else if p.numSub < 2 {
 		t.Fatalf("numSub = %d", p.numSub)
 	}
@@ -157,18 +151,11 @@ func TestSubtreeShardInvariance(t *testing.T) {
 // TestSubtreeShardInvarianceScaleFree repeats the invariance check on a
 // generic scale-free tree (explicit depth-2 frontier with wildly
 // unequal subtree sizes, Coordinated signals and churn interleaving the
-// sequential phases) across seeds. It also pins the auto policy on this
-// shape: the shallow BA tree splinters into near-empty subtrees, so
-// with CutLinks unset the avg-receivers guard must decline to cut.
+// transmission walks) across seeds.
 func TestSubtreeShardInvarianceScaleFree(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := scaleFreeCfg(t, 8000, seed)
 		cfg.Shards = 1
-		auto := cfg
-		auto.CutLinks = nil
-		if p := partitionOf(t, auto); p != nil {
-			t.Fatalf("auto frontier cut a splinter-prone BA tree into %d subtrees", p.numSub)
-		}
 		if p := partitionOf(t, cfg); p == nil {
 			t.Fatal("explicit depth-2 frontier declined to cut the scale-free tree")
 		} else if p.numSub < 2 {
@@ -192,9 +179,6 @@ func TestSubtreeShardInvarianceScaleFree(t *testing.T) {
 // TestSubtreeExplicitCutFrontier drives the planetary access-link
 // frontier through Config.CutLinks: the partition must cut exactly one
 // subtree per PoP, and the Result must again be invariant in Shards.
-// The explicit and auto frontiers are different decompositions, so
-// their Results legitimately differ — each must only be
-// self-consistent across shard counts.
 func TestSubtreeExplicitCutFrontier(t *testing.T) {
 	cfg, firstAccess := planetaryOneCfg(t, 12000, 11)
 	cfg.CutLinks = topology.PlanetaryCutFrontier(firstAccess, cfg.Network.NumLinks())
@@ -211,56 +195,6 @@ func TestSubtreeExplicitCutFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 6} {
-		cfg.Shards = shards
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Shards=%d diverged from Shards=1", shards)
-		}
-	}
-}
-
-// TestSubtreeStraddledWords: with 37 receivers per PoP, cut at the
-// access links, the subtrees' receiver slot ranges are not 64-aligned,
-// so subscription-bitmap words are shared by two subtrees and the
-// fan-out walkers of an Uncoordinated session over lossy access links
-// flip bits of one word concurrently. The test asserts the sharing,
-// then checks the Result is identical at Shards 1, 2 and 4. CI runs it
-// repeatedly under -race.
-func TestSubtreeStraddledWords(t *testing.T) {
-	cfg, firstAccess := planetaryPoPCfg(t, 37, 4000, 13)
-	cfg.CutLinks = topology.PlanetaryCutFrontier(firstAccess, cfg.Network.NumLinks())
-	cfg.Shards = 1
-	e, err := newEngineFor(cfg, []int{0}, nil, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, p := &e.sess[0], e.part
-	if p == nil || s.subBits == nil {
-		t.Fatal("no partition or no subscription bitmaps")
-	}
-	owner := make(map[int32]int32) // bitmap word -> first subtree with a slot in it
-	shared := 0
-	for j := range p.subRoot {
-		lo, hi := s.recvStart[p.subRoot[j]], s.downHi[p.cutEid[j]]
-		for wi := lo >> 6; hi > lo && wi <= (hi-1)>>6; wi++ {
-			if o, ok := owner[wi]; !ok {
-				owner[wi] = int32(j)
-			} else if o != int32(j) {
-				shared++
-			}
-		}
-	}
-	if shared == 0 {
-		t.Fatal("no bitmap word is shared by two subtrees")
-	}
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
 		cfg.Shards = shards
 		got, err := Run(cfg)
 		if err != nil {
@@ -307,36 +241,10 @@ func starOfStarsCfg(t *testing.T, leaves, packets int, seed uint64) Config {
 	}
 }
 
-// TestSubtreeShardsExceedSubtrees: more Shards than subtrees leaves
-// workers idle and changes nothing — the worker count is clamped and
-// the Result stays identical across every Shards >= 1.
-func TestSubtreeShardsExceedSubtrees(t *testing.T) {
-	cfg := starOfStarsCfg(t, 10, 6000, 5)
-	cfg.CutLinks = []int{0, 1, 2}
-	cfg.Shards = 1
-	p := partitionOf(t, cfg)
-	if p == nil || p.numSub != 3 {
-		t.Fatalf("partition = %+v, want 3 subtrees", p)
-	}
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 8} {
-		cfg.Shards = shards
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Shards=%d diverged (3 subtrees)", shards)
-		}
-	}
-}
-
 // TestSubtreeDegenerateTrees: shapes the partition must decline — a
-// single-edge tree (no interior to cut) and a frontier that swallows
-// the whole tree in one subtree — fall back to the plain single-group
+// single-edge tree (no interior to cut, even with its link listed) and
+// a frontier that swallows the whole tree in one subtree — fall back to
+// the plain single-group
 // engine, whose group 0 keeps the base seed: the sharded Result is then
 // byte-identical to the sequential Shards == 0 run.
 func TestSubtreeDegenerateTrees(t *testing.T) {
@@ -355,6 +263,7 @@ func TestSubtreeDegenerateTrees(t *testing.T) {
 		Sessions: []SessionConfig{{Protocol: protocol.Deterministic, Layers: 4}},
 		Packets:  2000,
 		Seed:     3,
+		CutLinks: []int{0},
 	}
 	// Whole-tree frontier: cutting the root's hub links... on a chain,
 	// cutting the root edge makes the entire tree one subtree.
@@ -387,26 +296,29 @@ func TestSubtreeDegenerateTrees(t *testing.T) {
 	}
 }
 
-// TestSubtreeAutoFrontierDeclinesSmall: below the receiver floor the
-// auto frontier must not cut (the barriers would cost more than the
-// fan-out wins), and the sharded single-group run then matches the
-// sequential engine exactly.
+// TestSubtreeAutoFrontierDeclinesSmall: there is no automatic cut
+// frontier. Without CutLinks a single-session group is never
+// partitioned, however large its tree, so the planetary tree (8192
+// receivers) gives one Result at Shards 0, 2 and 64: the sharded
+// single-group run is the sequential engine.
 func TestSubtreeAutoFrontierDeclinesSmall(t *testing.T) {
-	cfg := starOfStarsCfg(t, 20, 3000, 2) // 60 receivers < autoCutMinReceivers
+	cfg, _ := planetaryOneCfg(t, 6000, 2)
 	seq, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Shards = 2
-	if p := partitionOf(t, cfg); p != nil {
-		t.Fatalf("auto frontier cut a %d-receiver tree", 60)
-	}
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, seq) {
-		t.Fatal("small-tree sharded run diverged from sequential")
+	for _, shards := range []int{2, 64} {
+		cfg.Shards = shards
+		if p := partitionOf(t, cfg); p != nil {
+			t.Fatalf("Shards=%d: a tree without CutLinks was cut into %d subtrees", shards, p.numSub)
+		}
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, seq) {
+			t.Fatalf("Shards=%d diverged from Shards=0", shards)
+		}
 	}
 }
 
@@ -416,8 +328,12 @@ func TestSubtreeAutoFrontierDeclinesSmall(t *testing.T) {
 // partitioned single-session tree.
 func TestSubtreeProbedInvariance(t *testing.T) {
 	cfg, _ := planetaryOneCfg(t, 12000, 13)
-	cfg.Probe = &ProbeConfig{Window: 4, MaxSamples: 64}
+	cfg.CutLinks = depth2Cut(cfg.Network)
 	cfg.Shards = 1
+	if partitionOf(t, cfg) == nil {
+		t.Fatal("depth-2 frontier declined to cut the planetary tree")
+	}
+	cfg.Probe = &ProbeConfig{Window: 4, MaxSamples: 64}
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -453,28 +369,6 @@ func TestSubtreeProbedInvariance(t *testing.T) {
 	}
 }
 
-// TestSubtreeWorkerCountInvariantUnderGOMAXPROCS: setWorkers is a pure
-// throughput knob even when it exceeds the subtree count or the
-// machine's cores; forcing the partition's worker count directly (as
-// runGroups would on a many-core box) must not change the Result.
-func TestSubtreeWorkerCountInvariantUnderGOMAXPROCS(t *testing.T) {
-	cfg, _ := planetaryOneCfg(t, 8000, 21)
-	cfg.Shards = 1
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shards=64 on one group -> 64 workers (clamped to subtree count).
-	cfg.Shards = 64
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("worker flood changed the Result")
-	}
-}
-
 // TestSubtreeRejectsUnsupportedShapes: DropTail edges and LeaveLatency
 // runs must decline the partition (queue events and linger windows
 // couple subtrees) and still produce the plain single-group result.
@@ -496,10 +390,10 @@ func TestSubtreeRejectsUnsupportedShapes(t *testing.T) {
 }
 
 // TestPlanMemoryCountsSubtrees: PlanMemory replays the same frontier
-// policy newTreePartition applies, so the planned subtree count must
-// match the engine's exactly — auto frontier, explicit planetary
-// frontier, and explicit scale-free frontier alike — and the plan must
-// decline exactly where the engine declines.
+// newTreePartition cuts, so the planned subtree count must match the
+// engine's exactly — explicit planetary frontier and explicit
+// scale-free frontier alike — and the plan must decline exactly where
+// the engine declines, which without CutLinks is everywhere.
 func TestPlanMemoryCountsSubtrees(t *testing.T) {
 	auto, firstAccess := planetaryOneCfg(t, 100, 1)
 	auto.Shards = 2
@@ -507,21 +401,23 @@ func TestPlanMemoryCountsSubtrees(t *testing.T) {
 	explicit.CutLinks = topology.PlanetaryCutFrontier(firstAccess, auto.Network.NumLinks())
 	sf := scaleFreeCfg(t, 100, 1)
 	sf.Shards = 2
-	small := starOfStarsCfg(t, 20, 100, 2)
-	small.Shards = 2
+	oneSub := starOfStarsCfg(t, 20, 100, 2)
+	oneSub.CutLinks = []int{0} // the whole tree in one subtree
+	oneSub.Shards = 2
 	// Nil Links: every link Perfect, so the frontier replay must not read
 	// a link spec.
-	perfect := auto
+	perfect := explicit
 	perfect.Links = nil
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		cut  bool // whether the engine partitions
 	}{
-		{"planetary-auto", auto},
-		{"planetary-explicit", explicit},
-		{"scale-free-explicit", sf},
-		{"small-declined", small},
-		{"planetary-nil-links", perfect},
+		{"planetary-auto", auto, false},
+		{"planetary-explicit", explicit, true},
+		{"scale-free-explicit", sf, true},
+		{"one-subtree-declined", oneSub, false},
+		{"planetary-nil-links", perfect, true},
 	} {
 		plan, err := PlanMemory(tc.cfg)
 		if err != nil {
@@ -530,6 +426,9 @@ func TestPlanMemoryCountsSubtrees(t *testing.T) {
 		want := 0
 		if p := partitionOf(t, tc.cfg); p != nil {
 			want = p.numSub
+		}
+		if (want > 0) != tc.cut {
+			t.Fatalf("%s: engine built %d subtrees", tc.name, want)
 		}
 		if plan.Subtrees != want || plan.CutFrontier != want {
 			t.Fatalf("%s: plan subtrees = %d (frontier %d), engine built %d",
@@ -551,11 +450,10 @@ func TestPlanMemoryCountsSubtrees(t *testing.T) {
 }
 
 // TestPlanMemoryIndependentOfShards: the plan, like the Result, is the
-// same for every Shards >= 1. Worker stacks are planned at the widest
-// fan-out setWorkers can reach, so hosts with many cores (the planetary
+// same for every Shards >= 1, so hosts with many cores (the planetary
 // driver passes Shards = NumCPU) print the same plan line as small
-// ones. The multi-region shape splits Shards across groups, so each
-// value here reaches a different worker count.
+// ones. The multi-region shape runs its partitioned groups on up to
+// Shards goroutines; the one-region shape is a single group.
 func TestPlanMemoryIndependentOfShards(t *testing.T) {
 	net, firstAccess, err := topology.Planetary(rand.New(rand.NewPCG(7, 7)), topology.PlanetaryOptions{
 		Regions: 4, CoreNodes: 16, PoPs: 48, ReceiversPerPoP: 16, CoreCap: 64, AccessCap: 16,
@@ -565,11 +463,12 @@ func TestPlanMemoryIndependentOfShards(t *testing.T) {
 	}
 	explicit := lossyCfg(net, rand.New(rand.NewPCG(1, 1)), 1000)
 	explicit.CutLinks = topology.PlanetaryCutFrontier(firstAccess, net.NumLinks())
-	auto, _ := planetaryOneCfg(t, 1000, 1)
+	deep, _ := planetaryOneCfg(t, 1000, 1)
+	deep.CutLinks = depth2Cut(deep.Network)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"planetary-access-cut", explicit}, {"planetary-auto", auto}} {
+	}{{"planetary-access-cut", explicit}, {"planetary-depth-2-cut", deep}} {
 		var want *MemoryPlan
 		for _, shards := range []int{1, 2, 16, 1 << 20} {
 			cfg := tc.cfg
@@ -597,35 +496,5 @@ func TestCutLinksValidate(t *testing.T) {
 	cfg.CutLinks = []int{cfg.Network.NumLinks()}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "CutLinks") {
 		t.Fatalf("out-of-range CutLinks accepted: %v", err)
-	}
-}
-
-// TestWalkerPadding: fan-out workers' walk contexts sit side by side in
-// one slice and their stacks in one backing array, so each walker ends
-// in a full cache line of padding and neighbouring stacks are a line
-// apart — two workers never write the same line.
-func TestWalkerPadding(t *testing.T) {
-	var w walker
-	hot := unsafe.Offsetof(w.stack) + unsafe.Sizeof(w.stack)
-	if pad := unsafe.Sizeof(w) - hot; pad < 64 {
-		t.Fatalf("walker has %d bytes after its hot fields, want >= 64", pad)
-	}
-	cfg := starOfStarsCfg(t, 10, 100, 1)
-	cfg.CutLinks = []int{0, 1, 2}
-	cfg.Shards = 3
-	e, err := newEngineFor(cfg, []int{0}, nil, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := e.part
-	p.setWorkers(3)
-	p.ensure(e, &e.sess[0])
-	defer p.stop()
-	for i := 1; i < len(p.walkers); i++ {
-		prev, next := p.walkers[i-1].stack, p.walkers[i].stack
-		end := uintptr(unsafe.Pointer(unsafe.SliceData(prev))) + uintptr(cap(prev))*4
-		if gap := uintptr(unsafe.Pointer(unsafe.SliceData(next))) - end; gap < 64 {
-			t.Fatalf("stacks %d and %d are %d bytes apart, want >= 64", i-1, i, gap)
-		}
 	}
 }

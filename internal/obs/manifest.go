@@ -50,8 +50,8 @@ type Manifest struct {
 	VirtualTime float64 `json:"virtualTime,omitempty"`
 	// ShardGroups / ShardSubtrees / CutFrontier record the execution
 	// decomposition the run's memory plan chose: independent
-	// session-group engines, intra-session subtree shards across those
-	// engines, and the cut-edge count of the subtree frontier (equal to
+	// session-group engines, intra-session subtrees cut by
+	// netsim.Config.CutLinks, and the cut-edge count of the frontier (equal to
 	// ShardSubtrees by construction — one cut edge enters each subtree).
 	// All zero when the run was sequential.
 	ShardGroups   int `json:"shardGroups,omitempty"`
@@ -114,7 +114,7 @@ func (m *Manifest) SetSeed(seed uint64) {
 }
 
 // SetDecomposition records the engine decomposition the run executed
-// under: group engines, subtree shards, and the cut-frontier size.
+// under: group engines, subtree partitions, and the cut-frontier size.
 func (m *Manifest) SetDecomposition(groups, subtrees, cutFrontier int) {
 	if m == nil {
 		return

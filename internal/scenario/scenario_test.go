@@ -99,6 +99,9 @@ func TestValidateRejects(t *testing.T) {
 		{"negative signal period", func(s *Spec) { s.SignalPeriod = -1 }},
 		{"negative leave latency", func(s *Spec) { s.LeaveLatency = -1 }},
 		{"negative churn", func(s *Spec) { s.Churn = &ChurnSpec{Interval: -1} }},
+		{"churn rounds above the cap", func(s *Spec) {
+			s.Churn = &ChurnSpec{Interval: 1, Downtime: 1, Horizon: maxChurnRounds + 1}
+		}},
 	}
 	for _, c := range cases {
 		s := base()
@@ -284,6 +287,18 @@ func TestRunnerWorkerIndependence(t *testing.T) {
 		if a.Rates[0][k] != b.Rates[0][k] {
 			t.Fatalf("receiver %d summary differs across worker counts", k)
 		}
+	}
+}
+
+// TestDecodeRejectsDenseChurn: a churn interval far below the horizon
+// asks for more leave/rejoin rounds than memory holds (at an interval of
+// 1e-20 the round time also stops advancing near 1e-4); Decode refuses
+// the spec, naming the churn block, before anything is compiled.
+func TestDecodeRejectsDenseChurn(t *testing.T) {
+	const spec = `{"topology":{"kind":"star","receivers":4},"sessions":[{"protocol":"Deterministic","layers":4}],"packets":100,"churn":{"interval":1e-20,"downtime":1,"horizon":1},"replications":{"n":1},"seed":1}`
+	_, err := Decode(strings.NewReader(spec))
+	if err == nil || !strings.Contains(err.Error(), "churn") {
+		t.Fatalf("Decode = %v, want an error naming churn", err)
 	}
 }
 

@@ -371,6 +371,13 @@ func (s *Spec) Validate() error {
 		if c.Interval < 0 || c.Downtime < 0 || c.Horizon < 0 {
 			return fmt.Errorf("scenario: negative churn parameters %+v", *c)
 		}
+		// Each churn round is two events held in memory for the whole
+		// run, so the periodic process is capped the way topology depth
+		// is: a sub-precision interval would otherwise ask for more
+		// events than memory holds.
+		if c.Interval > 0 && c.Horizon/c.Interval > maxChurnRounds {
+			return fmt.Errorf("scenario: churn horizon/interval = %g exceeds %d rounds", c.Horizon/c.Interval, maxChurnRounds)
+		}
 		for i, ev := range c.Events {
 			if ev.Time < 0 || math.IsNaN(ev.Time) {
 				return fmt.Errorf("scenario: churn event %d at time %v", i, ev.Time)
@@ -399,6 +406,10 @@ func (s *Spec) Validate() error {
 	}
 	return s.Topology.validateNumbers()
 }
+
+// maxChurnRounds bounds a periodic churn process's horizon/interval
+// ratio, its leave/rejoin round count.
+const maxChurnRounds = 1 << 20
 
 // validateNumbers rejects degenerate numeric topology fields up front,
 // so Compile returns errors instead of panicking inside the graph

@@ -81,10 +81,8 @@ func (o PlanetaryOptions) NumReceivers() int {
 // numLinks) in Planetary's layered link order — as an explicit subtree
 // cut frontier for netsim.Config.CutLinks. Cutting every access link
 // partitions each region's tree into its per-PoP receiver subtrees
-// below the thin scale-free core, which is exactly the bottleneck
-// boundary the Sreenivasan et al. analysis predicts: nearly all
-// delivery work lands below the frontier and fans out across cores,
-// while the core prefix stays one short sequential walk.
+// below the thin scale-free core, each walked on its own RNG stream;
+// the committed planetary goldens are recorded under this frontier.
 func PlanetaryCutFrontier(firstAccess, numLinks int) []int {
 	cut := make([]int, 0, numLinks-firstAccess)
 	for j := firstAccess; j < numLinks; j++ {
