@@ -190,36 +190,45 @@ func TestSweepCSVGolden(t *testing.T) {
 }
 
 // TestPlanetaryGolden: `netsim -scenario planetary -receivers 65536
-// -packets 1024 -trials 1` reproduces its committed output byte for
-// byte — the memory-plan line and the per-region rows. The run is
-// session-sharded with a subtree cut frontier on every region, and the
-// output is invariant in the host's core count, so the golden holds on
-// any machine. The 1M-receiver twin, testdata/planetary.golden.out, is
-// too large for a unit test. Regenerate after an intentional change
-// with:
+// -trials 1` reproduces its committed output byte for byte — the
+// memory-plan line and the per-region rows — at 1,024 packets and at
+// 16,384, the packet budget of perfbench's timed planetary-1m jobs. The
+// run is session-sharded with a subtree cut frontier on every region,
+// and the output is invariant in the host's core count, so the goldens
+// hold on any machine. The 1M-receiver twin,
+// testdata/planetary.golden.out, is too large for a unit test.
+// Regenerate after an intentional change with:
 //
 //	UPDATE_GOLDEN=1 go test ./cmd/netsim -run TestPlanetaryGolden
 func TestPlanetaryGolden(t *testing.T) {
-	var b strings.Builder
-	o := experiments.NetsimOptions{Receivers: 65536, Packets: 1024, Trials: 1, Seed: 777}
-	if err := run(&b, "planetary", o); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "planetary-64k.golden.out")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+	for _, tc := range []struct {
+		packets int
+		golden  string
+	}{
+		{1024, "planetary-64k.golden.out"},
+		{16384, "planetary-64k-16k.golden.out"},
+	} {
+		var b strings.Builder
+		o := experiments.NetsimOptions{Receivers: 65536, Packets: tc.packets, Trials: 1, Seed: 777}
+		if err := run(&b, "planetary", o); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s updated (%d bytes)", golden, b.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(want) {
-		t.Fatalf("planetary output drifted from %s (run with UPDATE_GOLDEN=1 if intentional):\n--- got ---\n%s\n--- want ---\n%s",
-			golden, b.String(), want)
+		golden := filepath.Join("testdata", tc.golden)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s updated (%d bytes)", golden, b.Len())
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("planetary output drifted from %s (run with UPDATE_GOLDEN=1 if intentional):\n--- got ---\n%s\n--- want ---\n%s",
+				golden, b.String(), want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlfair/internal/protocol"
@@ -116,6 +117,11 @@ func (d *digester) floats(vs []float64) {
 // node counters, subscription bitmaps): nodes hosting 100 receivers,
 // reached directly, through a DropTail queue, under churn, under a
 // leave latency, and with a packet-window probe reading mid-run counts.
+//
+// The pop100/top and pop100/churn/Deterministic cases were recorded from
+// the engine as it stood before countdowns at multi-receiver nodes became
+// per-level settles: receivers that reach the top level and re-arm
+// there, and Deterministic receivers that leave and rejoin.
 func TestResultDigests(t *testing.T) {
 	// resultDigest must see every field: a new one has to be added there.
 	if n := reflect.TypeOf(Result{}).NumField(); n != 9 {
@@ -153,8 +159,11 @@ func TestResultDigests(t *testing.T) {
 		"pop100/churn/Uncoordinated/packets":    "911b4e370901d7072d98aafcd4531969bf4ddbccff1df79575e149fdbd363c58",
 		"pop100/linger/Uncoordinated":           "8245f8dd5dc52215e50275c038dc5cceed5debd9c025d1435637cdf9898795f0",
 		"pop100/linger/Deterministic":           "464644d6ed34bcc9baf262f1869d3a7946a36c171c43591ad79f36bdb47a27ab",
+		"pop100/top/Uncoordinated":              "f85927b24c1a7e3e4909a22e82b1ea805db07c3eb9dbd556b1a9fae22836cd1e",
+		"pop100/top/Deterministic":              "cad71058a45132ca1d1951b5ebb3ac3c6aeb0c053ed978df6b01853f7bb96b9d",
+		"pop100/churn/Deterministic":            "90e84370f40ef4fd4d092587ac85926ba4513dec1d5a6efbf9bb1fd2958ad753",
 	}
-	check := func(name string, cfg Config) {
+	check := func(name string, cfg Config) *Result {
 		t.Helper()
 		res, err := Run(cfg)
 		if err != nil {
@@ -167,6 +176,7 @@ func TestResultDigests(t *testing.T) {
 			t.Errorf("%s: digest %s, want %s", name, got, want[name])
 		}
 		delete(want, name)
+		return res
 	}
 
 	for _, shards := range []int{0, 3} {
@@ -242,6 +252,19 @@ func TestResultDigests(t *testing.T) {
 		cfg.LeaveLatency = 2
 		check("pop100/linger/"+kind.String(), cfg)
 	}
+	// Four layers: receivers reach the top level, where a settle reads
+	// one bitmap alone, and re-arm there on every join.
+	for _, kind := range []protocol.Kind{protocol.Uncoordinated, protocol.Deterministic} {
+		cfg := pop100Cfg(t, kind, 47)
+		cfg.Sessions[0].Layers = 4
+		res := check("pop100/top/"+kind.String(), cfg)
+		if !slices.Contains(res.FinalLevels[0], 4) {
+			t.Errorf("pop100/top/%s: no receiver ends at level 4", kind)
+		}
+	}
+	churned := pop100Cfg(t, protocol.Deterministic, 53)
+	churned.Churn = pop100Churn(churned)
+	check("pop100/churn/Deterministic", churned)
 	if len(want) != 0 {
 		t.Fatalf("digests never checked: %v", want)
 	}

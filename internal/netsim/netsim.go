@@ -60,12 +60,15 @@
 //     its subscription row; a receiver's delivered count is an offset
 //     plus its node's counters below its level (delivered), and every
 //     level change settles the offset. A Coordinated delivery touches
-//     no receiver. Countdown protocols keep per-level subscription
-//     bitmaps over the pre-order receiver list, so one routine
-//     (deliverShared) visits exactly the subscribed receivers, in the
-//     ascending order a scan would, and every join's RNG draw keeps its
-//     place. A node hosting one receiver keeps the inline per-receiver
-//     count (deliverSingle).
+//     no receiver. Under a countdown protocol, a receiver's countdown is
+//     stored relative to its (node, level) run: the packets the level
+//     has received there since it was last settled. A packet bumps the
+//     runs of the levels above its layer, and a level is settled, its
+//     receivers read from per-level subscription bitmaps, only when its
+//     run reaches the smallest stored countdown (deliverShared). The
+//     receivers found due join in the ascending order a scan would
+//     take, so every join's RNG draw keeps its place. A node hosting one
+//     receiver keeps the inline per-receiver count (deliverSingle).
 //   - Bernoulli drops are realized by geometric inter-drop gap counters
 //     (one RNG draw per drop, not per crossing — the identical law;
 //     links with layer-dependent loss tables fall back to a direct draw
@@ -345,6 +348,9 @@ func (c *Config) validate() error {
 		if sc.Layers > MaxLayers {
 			return fmt.Errorf("netsim: session %d: Layers = %d exceeds MaxLayers = %d", i, sc.Layers, MaxLayers)
 		}
+		if sc.Protocol < protocol.Uncoordinated || sc.Protocol > protocol.Coordinated {
+			return fmt.Errorf("netsim: session %d: unknown Protocol %v", i, sc.Protocol)
+		}
 		s := c.Network.Session(i)
 		if s.Sender < 0 {
 			return fmt.Errorf("netsim: session %d has no concrete sender node (abstract networks are not simulable)", i)
@@ -620,9 +626,12 @@ type sessState struct {
 	// parallel arrays. The transition logic mirrors protocol.Receiver
 	// exactly (the sim/treesim/capsim cross-check tests guard the
 	// equivalence): levels[k] is the joined layer count (0 while
-	// departed), countdown[k] the packets left until the next
-	// Deterministic/Uncoordinated join, clean[k] the Coordinated
-	// no-congestion-since-last-opportunity window.
+	// departed), countdown[k] the Deterministic/Uncoordinated join
+	// countdown, clean[k] the Coordinated
+	// no-congestion-since-last-opportunity window. At a single-receiver
+	// node countdown[k] is absolute: the packets left until the next join.
+	// At a multi-receiver node it is relative to its level's last settle:
+	// the packets left are countdown[k] minus the level's dueRun.
 	levels    []int32
 	countdown []int64
 	clean     []bool
@@ -637,17 +646,27 @@ type sessState struct {
 	// hosts several receivers (a star).
 	received []int
 	got      []int64
-	// Subscription bitmaps (Deterministic/Uncoordinated sessions with a
-	// multi-receiver node; nil otherwise): bit x of level v's bitmap,
+	// Level countdowns (Deterministic/Uncoordinated sessions with a
+	// multi-receiver node; nil otherwise). Bit x of level v's bitmap,
 	// subBits[v*bmWords + x>>6], is set iff receiver recvList[x] sits at
 	// a multi-receiver node with level above v; slotOf[k] is receiver
-	// k's slot x. A packet of layer v visits exactly the set bits of its
-	// node's slot range (deliverShared), in ascending slot order, so
-	// countdowns and joins see receivers in the order a scan of recvList
-	// would.
+	// k's slot x. So a node's level-v receivers are bits[v-1] &^ bits[v]
+	// over its slot range (bits[v-1] alone at the top level). Rows shaped
+	// like got hold, per (node, level v): dueRun, the packets the level's
+	// receivers have received since the level was last settled, and
+	// dueMin, at most the smallest of their stored countdowns. A packet
+	// bumps the runs of the levels above its layer and settles a level
+	// only once its run reaches dueMin (deliverShared). Arming lowers
+	// dueMin; a leave may leave it stale-low, which costs one spurious
+	// settle. dueBits is a one-node scratch bitmap: the word of slot x is
+	// x>>6 minus its node's first word, and a set bit marks a receiver
+	// due to join.
 	subBits []uint64
 	slotOf  []int32
 	bmWords int32
+	dueRun  []int64
+	dueMin  []int64
+	dueBits []uint64
 
 	// Per-edge fluid-usage accounting: fluidInt[eid] integrates the
 	// cumulative scheme rate of the edge's subtree maximum over time
@@ -955,7 +974,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		nEdges := 0
 		// shared: some node hosts several of the session's receivers, so
 		// the session needs delivery-counter rows (and, under a countdown
-		// protocol, subscription bitmaps).
+		// protocol, subscription bitmaps and level-countdown rows).
 		shared := false
 		// One walk per run of receivers sharing a path: walking it again
 		// would re-find the same parents over the same links.
@@ -1028,6 +1047,9 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		if shared {
 			n64 += rowLen // got
 		}
+		if bitmaps {
+			n64 += 2 * rowLen // dueRun, dueMin
+		}
 		s32 := make([]int32, n32)
 		s64 := make([]int64, n64)
 		nf := 2*sc.Layers + 1 + 2*nEdges
@@ -1061,6 +1083,15 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		var got []int64
 		if shared {
 			got = take64(rowLen)
+		}
+		if bitmaps {
+			// The countdown rows attach before the bring-up below, whose
+			// arms then fill level 1's dueMin.
+			s.dueRun = take64(rowLen)
+			s.dueMin = take64(rowLen)
+			for i := range s.dueMin {
+				s.dueMin[i] = math.MaxInt64
+			}
 		}
 		s.period = takeF(sc.Layers)
 		s.cum = takeF(sc.Layers + 1)
@@ -1206,8 +1237,10 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 			s.bmWords = int32((nR + 63) >> 6)
 			s.subBits = make([]uint64, sc.Layers*int(s.bmWords))
 			s.slotOf = take32(nR)
+			maxHost := int32(0)
 			for nd := 0; nd < treeN; nd++ {
 				lo, hi := s.recvStart[nd], s.recvStart[nd+1]
+				maxHost = max(maxHost, hi-lo)
 				for x := lo; x < hi; x++ {
 					s.slotOf[s.recvList[x]] = x
 					if hi-lo > 1 {
@@ -1215,6 +1248,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 					}
 				}
 			}
+			s.dueBits = make([]uint64, dueWords(int(maxHost)))
 		}
 		if nEdges > maxEdges {
 			maxEdges = nEdges
@@ -1427,14 +1461,36 @@ func (e *engine) propagateFrom(s *sessState, w *walker, nd, a, b int32) {
 // armReceiver re-arms receiver k's join logic at level lv — the engine
 // inlining of protocol.Receiver.resetEventState.
 func (e *engine) armReceiver(s *sessState, w *walker, k int, lv int32) {
+	if s.cfg.Protocol == protocol.Coordinated {
+		s.clean[k] = true
+		return
+	}
+	e.armCountdown(s, w, k, lv)
+}
+
+// armCountdown draws receiver k's join countdown at level lv (the
+// Deterministic threshold, or an Uncoordinated geometric sample) and
+// stores it: as is at a single-receiver node, and at a multi-receiver
+// node offset by the level's dueRun, lowering its dueMin. Under
+// Coordinated it does nothing.
+func (e *engine) armCountdown(s *sessState, w *walker, k int, lv int32) {
+	var c int64
 	switch s.cfg.Protocol {
 	case protocol.Deterministic:
-		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
+		c = int64(protocol.JoinThreshold(int(lv)))
 	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(w.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
-	case protocol.Coordinated:
-		s.clean[k] = true
+		c = int64(protocol.SampleGeometric(w.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
+	default:
+		return
 	}
+	if s.dueRun != nil {
+		if nd := s.recvNode[k]; s.recvStart[nd+1]-s.recvStart[nd] > 1 {
+			i := nd<<s.rowShift + lv
+			c += s.dueRun[i]
+			s.dueMin[i] = min(s.dueMin[i], c)
+		}
+	}
+	s.countdown[k] = c
 }
 
 // joinReceiver adds one layer to receiver k (bounded by M) and re-arms
@@ -1458,12 +1514,7 @@ func (e *engine) congestReceiver(s *sessState, w *walker, k int) {
 		e.applyLevelChange(s, w, k, lv)
 	}
 	s.clean[k] = false // a Coordinated receiver must wait for a clean window
-	switch s.cfg.Protocol {
-	case protocol.Deterministic:
-		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
-	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(w.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
-	}
+	e.armCountdown(s, w, k, lv)
 }
 
 // deliverSingle is the walk's inline delivery to a node hosting exactly
@@ -1500,41 +1551,93 @@ func (e *engine) deliverNode(s *sessState, w *walker, layer, row, lo, hi int32, 
 	e.deliverShared(s, w, layer, row, lo, hi, countJoins)
 }
 
-// deliverShared delivers a packet of the layer to a multi-receiver node:
-// one bump of the node's counter for the layer covers every subscribed
-// receiver's count, so a Coordinated delivery touches no receiver at
-// all. Under a countdown protocol it then visits exactly the subscribed
-// receivers — the set bits of the layer's bitmap over slots [lo, hi),
-// lowest slot first, the order a scan of recvList would take — and
-// steps their countdowns. A join moves its receiver to a level above
-// the layer, so the layer's bitmap holds still while it is read.
+// deliverShared delivers a packet of the layer to a multi-receiver node
+// (row its counter row, [lo, hi) its receiver slots): one bump of the
+// node's counter for the layer covers every subscribed receiver's
+// count, so a Coordinated delivery touches no receiver at all. Under a
+// countdown protocol it then bumps the dueRun of each level above the
+// layer and settles only a level whose run has reached its dueMin. The
+// receivers the settles find due join once every level is settled,
+// lowest slot first: the order a scan of recvList would take, so every
+// join and RNG draw keeps its place, and a receiver joining on this
+// packet starts its new level's countdown after it.
 func (e *engine) deliverShared(s *sessState, w *walker, layer, row, lo, hi int32, countJoins bool) {
 	s.got[row+layer]++
 	if !countJoins {
 		return
 	}
-	bm := s.subBits[layer*s.bmWords : (layer+1)*s.bmWords]
-	wi, last := lo>>6, (hi-1)>>6
-	word := bm[wi] & (^uint64(0) << (lo & 63))
-	for {
+	runs := s.dueRun[row+layer+1 : row+s.m+1]
+	mins := s.dueMin[row+layer+1 : row+s.m+1]
+	due := false
+	for i := range runs {
+		runs[i]++
+		if runs[i] >= mins[i] && s.settle(row, layer+1+int32(i), lo, hi) {
+			due = true
+		}
+	}
+	if !due {
+		return
+	}
+	first := lo >> 6
+	for i, word := range s.dueBits[:(hi-1)>>6-first+1] {
+		s.dueBits[i] = 0
+		for word != 0 {
+			x := (first+int32(i))<<6 | int32(bits.TrailingZeros64(word))
+			word &= word - 1
+			e.joinReceiver(s, w, int(s.recvList[x]))
+		}
+	}
+}
+
+// settle charges level v's run at a multi-receiver node (row its counter
+// row, [lo, hi) its receiver slots) to the level's receivers, read from
+// the bitmaps as bits[v-1] &^ bits[v]. It marks in dueBits the receivers
+// whose countdown ran out, recomputes dueMin from the others, and reports
+// whether it marked any.
+func (s *sessState) settle(row, v, lo, hi int32) bool {
+	run := s.dueRun[row+v]
+	s.dueRun[row+v] = 0
+	next := int64(math.MaxInt64)
+	due := false
+	above := s.subBits[(v-1)*s.bmWords : v*s.bmWords]
+	var over []uint64 // receivers above level v; none at the top level
+	if v < s.m {
+		over = s.subBits[v*s.bmWords : (v+1)*s.bmWords]
+	}
+	first, last := lo>>6, (hi-1)>>6
+	for wi := first; wi <= last; wi++ {
+		word := above[wi]
+		if over != nil {
+			word &^= over[wi]
+		}
+		if wi == first {
+			word &= ^uint64(0) << (lo & 63)
+		}
 		if wi == last {
 			word &= ^uint64(0) >> (63 - (hi-1)&63)
 		}
 		for word != 0 {
-			k := s.recvList[wi<<6|int32(bits.TrailingZeros64(word))]
+			x := wi<<6 | int32(bits.TrailingZeros64(word))
 			word &= word - 1
-			s.countdown[k]--
-			if s.countdown[k] <= 0 {
-				e.joinReceiver(s, w, int(k))
+			k := s.recvList[x]
+			c := s.countdown[k] - run
+			s.countdown[k] = c
+			if c <= 0 {
+				s.dueBits[wi-first] |= 1 << (x & 63)
+				due = true
+			} else if c < next {
+				next = c
 			}
 		}
-		if wi == last {
-			return
-		}
-		wi++
-		word = bm[wi]
 	}
+	s.dueMin[row+v] = next
+	return due
 }
+
+// dueWords is the length of the dueBits scratch for a session whose
+// largest node hosts n receivers: n consecutive slots span at most this
+// many 64-bit words.
+func dueWords(n int) int { return (n+62)>>6 + 1 }
 
 // deliverAt delivers a packet of the layer to the receivers hosted at
 // node, a walk's entry node, which hosts at least one.

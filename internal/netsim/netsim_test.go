@@ -218,6 +218,10 @@ func TestValidation(t *testing.T) {
 		{"link count", func(c *Config) { c.Links = c.Links[:1] }, "link specs"},
 		{"packets", func(c *Config) { c.Packets = 0 }, "Packets"},
 		{"layers", func(c *Config) { c.Sessions = []SessionConfig{{Layers: 0}} }, "Layers"},
+		// An unknown kind would arm no countdown, so every delivered
+		// packet would join its receiver.
+		{"protocol below range", func(c *Config) { c.Sessions = []SessionConfig{{Protocol: -1, Layers: 8}} }, "session 0: unknown Protocol Kind(-1)"},
+		{"protocol above range", func(c *Config) { c.Sessions = []SessionConfig{{Protocol: 7, Layers: 8}} }, "session 0: unknown Protocol Kind(7)"},
 		{"loss range", func(c *Config) { c.Links[0].Loss = 1.5 }, "loss"},
 		{"churn session", func(c *Config) { c.Churn = []ChurnEvent{{Session: 9}} }, "out of range"},
 		{"churn receiver", func(c *Config) { c.Churn = []ChurnEvent{{Receiver: 9}} }, "out of range"},

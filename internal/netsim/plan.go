@@ -34,10 +34,12 @@ type MemoryPlan struct {
 	Subtrees, CutFrontier int
 	// SessionBytes is the sum of every session's slab footprint: the
 	// CSR tree, receiver protocol arrays, subscription rows and, where a
-	// node hosts several receivers, delivery counter rows and (countdown
-	// protocols) the subscription bitmaps with their slot index. The
-	// receivers below an edge are a range of the pre-order receiver
-	// list, so downstream sets cost one int32 per edge.
+	// node hosts several receivers, delivery counter rows and, under a
+	// countdown protocol, the level-countdown state: subscription
+	// bitmaps with their slot index, the dueRun and dueMin rows, and a
+	// one-node scratch bitmap. The receivers below an edge are a range
+	// of the pre-order receiver list, so downstream sets cost one int32
+	// per edge. It equals the bytes the engine's session slices hold.
 	SessionBytes int64
 	// FixedBytes is the per-engine state outside any session: capacity
 	// rows, DropTail queue state, loss tables, transmit calendars, the
@@ -114,6 +116,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	// engines will build.
 	visited := make([]int32, nn)
 	hostMark := make([]int32, nn)
+	hostCnt := make([]int32, nn) // receivers at a node, valid where hostMark is this session's
 	var rootMark []int32
 	var partFixed int64
 	maxEdges, maxTreeN, totR := 0, 0, 0
@@ -128,14 +131,16 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		hasDT := false
 		visited[ns.Sender] = epoch
 		nE := 0
-		shared := false // some node hosts several receivers (as newEngineFor)
+		maxHost := 0 // the most receivers one node hosts
 		for k, run := 0, 0; k < len(ns.Receivers); k += run {
 			run = net.PathRun(i, k)
-			if host := ns.Receivers[k]; run > 1 || hostMark[host] == epoch {
-				shared = true
-			} else {
+			host := ns.Receivers[k]
+			if hostMark[host] != epoch {
 				hostMark[host] = epoch
+				hostCnt[host] = 0
 			}
+			hostCnt[host] += int32(run)
+			maxHost = max(maxHost, int(hostCnt[host]))
 			cur := ns.Sender
 			for _, j := range net.Path(i, k) {
 				nb := g.Other(j, cur)
@@ -189,11 +194,12 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		n32 := 3*nR + (L + 1) + 3*treeN + 2*(treeN+1) + 2*rowLen + 4*nE
 		n64 := nR + 2*nE
 		var bitmaps int64
-		if shared {
+		if maxHost > 1 { // as newEngineFor's shared
 			n64 += rowLen // got
 			if cfg.Sessions[i].Protocol != protocol.Coordinated {
-				n32 += nR // slotOf
-				bitmaps = 8 * int64(L) * int64((nR+63)>>6)
+				n32 += nR         // slotOf
+				n64 += 2 * rowLen // dueRun, dueMin
+				bitmaps = 8 * (int64(L)*int64((nR+63)>>6) + int64(dueWords(maxHost)))
 			}
 		}
 		nf := 2*L + 1 + 2*nE

@@ -9,6 +9,7 @@ import (
 	"mlfair/internal/netmodel"
 	"mlfair/internal/protocol"
 	"mlfair/internal/routing"
+	"mlfair/internal/topology"
 )
 
 // disjointCfg builds a config with three link-disjoint star sessions —
@@ -343,6 +344,50 @@ func TestPlanMemoryAccounting(t *testing.T) {
 	measured := allocatedBytes(t, cfg)
 	if measured < planned/2 || measured > planned*2 {
 		t.Fatalf("run allocated %d bytes, plan accounts for %d (off by more than 2x)", measured, planned)
+	}
+}
+
+// TestPlanMemoryMatchesEngine: the plan's SessionBytes is exactly what
+// the engine's sessions hold — the capacity of every slice field of
+// every sessState times its element size, summed by reflection so that
+// a new field is counted without editing this test — on stars, on nodes
+// hosting 100 receivers under each protocol, and on a tree cut at its
+// access links.
+func TestPlanMemoryMatchesEngine(t *testing.T) {
+	cfgs := map[string]Config{}
+	for _, kind := range protocol.Kinds() {
+		cfgs["star/"+kind.String()] = starCfg(t, 20, 0.0001, 0.04, kind, 400, 1)
+		cfgs["pop100/"+kind.String()] = pop100Cfg(t, kind, 1)
+	}
+	cut := pop100Cfg(t, protocol.Uncoordinated, 1)
+	cut.Shards = 2
+	cut.CutLinks = topology.PlanetaryCutFrontier(pop100FirstAccess, cut.Network.NumLinks())
+	cfgs["pop100/access"] = cut
+	for name, cfg := range cfgs {
+		plan, err := PlanMemory(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ids := make([]int, cfg.Network.NumSessions())
+		for i := range ids {
+			ids[i] = i
+		}
+		e, err := newEngineFor(cfg, ids, cfg.Churn, cfg.Seed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var held int64
+		for i := range e.sess {
+			v := reflect.ValueOf(&e.sess[i]).Elem()
+			for f := 0; f < v.NumField(); f++ {
+				if fv := v.Field(f); fv.Kind() == reflect.Slice {
+					held += int64(fv.Cap()) * int64(fv.Type().Elem().Size())
+				}
+			}
+		}
+		if held != plan.SessionBytes {
+			t.Errorf("%s: sessions hold %d bytes, plan's SessionBytes = %d", name, held, plan.SessionBytes)
+		}
 	}
 }
 
