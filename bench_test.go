@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"testing"
 
-	"mlfair/internal/capsim"
 	"mlfair/internal/experiments"
 	"mlfair/internal/fairness"
 	"mlfair/internal/layering"
@@ -27,10 +26,8 @@ import (
 	"mlfair/internal/protocol"
 	"mlfair/internal/redundancy"
 	"mlfair/internal/scenario"
-	"mlfair/internal/sim"
 	"mlfair/internal/sweepexec"
 	"mlfair/internal/topology"
-	"mlfair/internal/treesim"
 )
 
 // --- Figure 1 / Figure 2: allocation of the paper's example networks ---
@@ -241,12 +238,12 @@ func BenchmarkFigure8PointDeterministic(b *testing.B) { benchFigure8Point(b, pro
 func BenchmarkSimulatorPacketThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := sim.Run(sim.Config{
-			Layers: 8, Receivers: 100, SharedLoss: 0.0001,
-			IndependentLoss: 0.04, Protocol: protocol.Deterministic,
-			Packets: 100000, Seed: uint64(i),
-		})
+		cfg, err := netsim.Star(100, 0.0001, 0.04,
+			netsim.SessionConfig{Protocol: protocol.Deterministic, Layers: 8}, 100000, uint64(i))
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := netsim.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,11 +281,9 @@ func BenchmarkExperimentMarkovAnalysis(b *testing.B) {
 func BenchmarkTreeSimulation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := treesim.Run(treesim.Config{
-			Tree: treesim.Binary(4, 0.02), Layers: 8,
-			Protocol: protocol.Coordinated, Packets: 50000, Seed: uint64(i),
-		})
-		if err != nil {
+		cfg := binaryTreeConfig(b, 4, 50000)
+		cfg.Seed = uint64(i)
+		if _, err := netsim.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,14 +292,12 @@ func BenchmarkTreeSimulation(b *testing.B) {
 func BenchmarkClosedLoopSimulation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := capsim.Run(capsim.Config{
-			SharedCapacity: 24, Packets: 50000, Seed: uint64(i),
-			Sessions: []capsim.SessionConfig{
-				{Protocol: protocol.Coordinated, Layers: 8, FanoutCapacities: []float64{2, 8, 64}},
-				{Protocol: protocol.Coordinated, Layers: 8, FanoutCapacities: []float64{64}},
-			},
-		})
+		cfg, err := netsim.CapacityStar(24, [][]float64{{2, 8, 64}, {64}},
+			netsim.SessionConfig{Protocol: protocol.Coordinated, Layers: 8}, 50000, uint64(i))
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := netsim.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,14 +376,25 @@ func BenchmarkNetsimLargeStarInstrumented(b *testing.B) {
 }
 
 func BenchmarkNetsimDeepTree(b *testing.B) {
-	cfg, err := treesim.NetsimConfig(treesim.Config{
-		Tree: treesim.Binary(7, 0.02), Layers: 8,
-		Protocol: protocol.Coordinated, Packets: 50000, Seed: 1,
+	benchNetsimRun(b, binaryTreeConfig(b, 7, 50000))
+}
+
+// binaryTreeConfig compiles the Coordinated loss tree of the tree
+// benchmarks: a complete binary tree of the given depth with receivers
+// at the leaves and 2% Bernoulli loss on every link.
+func binaryTreeConfig(b *testing.B, depth, packets int) netsim.Config {
+	b.Helper()
+	c, err := scenario.Compile(&scenario.Spec{
+		Topology:    scenario.TopologySpec{Kind: "binarytree", Depth: depth},
+		Sessions:    []scenario.SessionSpec{{Protocol: "coordinated", Layers: 8}},
+		DefaultLink: &scenario.LinkSpec{Kind: "bernoulli", Loss: 0.02},
+		Packets:     packets,
+		Seed:        1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchNetsimRun(b, cfg)
+	return c.Cfg
 }
 
 func BenchmarkNetsimMultiSessionMesh(b *testing.B) {

@@ -17,8 +17,8 @@ import (
 	"os"
 
 	"mlfair/internal/cliutil"
+	"mlfair/internal/netsim"
 	"mlfair/internal/protocol"
-	"mlfair/internal/sim"
 	"mlfair/internal/stats"
 	"mlfair/internal/trace"
 )
@@ -87,14 +87,16 @@ type options struct {
 	drop            string
 }
 
-func parseDrop(s string) (sim.DropPolicy, error) {
+// parseDrop canonicalizes the -drop flag: uniform (the paper's
+// Bernoulli model, also the default) or priority (netsim.PriorityDrop).
+func parseDrop(s string) (string, error) {
 	switch s {
 	case "uniform", "":
-		return sim.UniformDrop, nil
+		return "uniform", nil
 	case "priority":
-		return sim.PriorityDrop, nil
+		return "priority", nil
 	}
-	return 0, fmt.Errorf("unknown drop policy %q", s)
+	return "", fmt.Errorf("unknown drop policy %q", s)
 }
 
 func run(w io.Writer, o options) error {
@@ -102,36 +104,57 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	dropPolicy, err := parseDrop(o.drop)
+	drop, err := parseDrop(o.drop)
 	if err != nil {
 		return err
 	}
-	receivers, layers, shared, ind := o.receivers, o.layers, o.shared, o.ind
-	packets, trials, seed := o.packets, o.trials, o.seed
+	if o.trials < 1 {
+		return fmt.Errorf("trials = %d", o.trials)
+	}
 	t := trace.NewTable(
 		fmt.Sprintf("Shared-link redundancy: %d receivers, %d layers, shared loss %g, independent loss %g, latency %g, %s drop",
-			receivers, layers, shared, ind, o.latency, dropPolicy),
+			o.receivers, o.layers, o.shared, o.ind, o.latency, drop),
 		"protocol", "redundancy", "ci95", "mean level", "link rate")
 	for _, k := range kinds {
-		cfg := sim.Config{
-			Layers: layers, Receivers: receivers,
-			SharedLoss: shared, IndependentLoss: ind,
-			Protocol: k, Packets: packets, Seed: seed,
-			LeaveLatency: o.latency, Drop: dropPolicy,
-		}
-		reds, err := sim.RunReplicated(cfg, trials)
+		cfg, err := netsim.Star(o.receivers, o.shared, o.ind,
+			netsim.SessionConfig{Protocol: k, Layers: o.layers}, o.packets, o.seed)
 		if err != nil {
 			return err
+		}
+		if drop == "priority" {
+			netsim.PriorityDrop(cfg.Links, o.layers)
+		}
+		cfg.LeaveLatency = o.latency
+		// Trial i runs at seed+i; the diagnostics columns come from the
+		// first trial, at the base seed.
+		reds := make([]float64, o.trials)
+		var first *netsim.Result
+		for i := range reds {
+			cfg.Seed = o.seed + uint64(i)
+			r, err := netsim.Run(cfg)
+			if err != nil {
+				return err
+			}
+			reds[i] = r.LinkRedundancy(0, 0)
+			if i == 0 {
+				first = r
+			}
 		}
 		s := stats.Summarize(reds)
-		// One extra run for the diagnostics columns.
-		r, err := sim.Run(cfg)
-		if err != nil {
-			return err
-		}
 		t.AddRow(k.String(), trace.Float(s.Mean), trace.Float(s.CI95),
-			trace.Float(r.MeanLevel), trace.Float(r.LinkRate))
+			trace.Float(first.MeanLevels[0]), trace.Float(sharedLinkRate(first)))
 	}
 	_, err = t.WriteTo(w)
 	return err
+}
+
+// sharedLinkRate is the session's packet rate across the star's shared
+// link (link 0).
+func sharedLinkRate(r *netsim.Result) float64 {
+	for _, ls := range r.Links {
+		if ls.Link == 0 {
+			return ls.Rate
+		}
+	}
+	return 0
 }

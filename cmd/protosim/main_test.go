@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -22,10 +24,10 @@ func TestParseKinds(t *testing.T) {
 }
 
 func TestParseDrop(t *testing.T) {
-	if d, err := parseDrop("priority"); err != nil || d.String() != "priority" {
+	if d, err := parseDrop("priority"); err != nil || d != "priority" {
 		t.Fatalf("parseDrop priority -> %v %v", d, err)
 	}
-	if d, err := parseDrop(""); err != nil || d.String() != "uniform" {
+	if d, err := parseDrop(""); err != nil || d != "uniform" {
 		t.Fatalf("parseDrop empty -> %v %v", d, err)
 	}
 	if _, err := parseDrop("zig"); err == nil {
@@ -56,5 +58,47 @@ func TestRunBadProtocol(t *testing.T) {
 	if err := run(&b, options{proto: "all", receivers: 2, layers: 3,
 		shared: 0.001, ind: 0.03, packets: 500, trials: 1, seed: 1, drop: "zigzag"}); err == nil {
 		t.Fatal("bad drop policy accepted")
+	}
+}
+
+// TestRunGolden locks `protosim -protocol all -trials 3 -packets 10000`
+// byte for byte at the default star, plain and with priority dropping
+// and a leave latency of 2. Regenerate after an intentional change with:
+//
+//	UPDATE_GOLDEN=1 go test ./cmd/protosim -run TestRunGolden
+func TestRunGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden  string
+		drop    string
+		latency float64
+	}{
+		{"all.golden", "uniform", 0},
+		{"all-priority-latency2.golden", "priority", 2},
+	} {
+		var b strings.Builder
+		if err := run(&b, options{proto: "all", receivers: 100, layers: 8,
+			shared: 0.0001, ind: 0.04, packets: 10000, trials: 3, seed: 1999,
+			latency: tc.latency, drop: tc.drop}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", tc.golden)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s updated (%d bytes)", path, b.Len())
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("output drifted from %s (run with UPDATE_GOLDEN=1 if intentional):\n--- got ---\n%s\n--- want ---\n%s",
+				path, b.String(), want)
+		}
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"mlfair/internal/capsim"
+	"mlfair/internal/maxmin"
+	"mlfair/internal/netsim"
 	"mlfair/internal/protocol"
 	"mlfair/internal/trace"
 )
@@ -17,44 +18,36 @@ import (
 // argues the protocols come "close" to the max-min fair rates; the table
 // quantifies how close, per protocol.
 func Convergence(w io.Writer, o ExtensionOptions) error {
-	base := capsim.Config{
-		SharedCapacity: 24,
-		Sessions: []capsim.SessionConfig{
-			{Layers: 8, FanoutCapacities: []float64{2, 8, 64}},
-			{Layers: 8, FanoutCapacities: []float64{64}},
-		},
-		Packets: o.Packets * 8,
-		Seed:    o.Seed,
-	}
-	fair := capsim.FairRates(base)
-
-	t := trace.NewTable(
-		fmt.Sprintf("Convergence to max-min fairness under closed-loop congestion (shared capacity %g)",
-			base.SharedCapacity),
-		"receiver", "fair rate", "Coordinated", "Uncoordinated", "Deterministic")
-	achieved := map[protocol.Kind]*capsim.Result{}
+	const shared = 24
+	fanout := [][]float64{{2, 8, 64}, {64}}
+	achieved := map[protocol.Kind]*netsim.Result{}
+	var fair *maxmin.Result
 	for _, k := range protocol.Kinds() {
-		cfg := base
-		cfg.Sessions = make([]capsim.SessionConfig, len(base.Sessions))
-		copy(cfg.Sessions, base.Sessions)
-		for i := range cfg.Sessions {
-			cfg.Sessions[i].Protocol = k
-		}
-		res, err := capsim.Run(cfg)
+		cfg, err := netsim.CapacityStar(shared, fanout,
+			netsim.SessionConfig{Protocol: k, Layers: 8}, o.Packets*8, o.Seed)
 		if err != nil {
 			return err
 		}
-		achieved[k] = res
-	}
-	for si := range base.Sessions {
-		for k := range base.Sessions[si].FanoutCapacities {
-			row := []string{
-				fmt.Sprintf("r%d,%d", si+1, k+1),
-				trace.Float(fair[si][k]),
+		if fair == nil {
+			if fair, err = maxmin.Allocate(cfg.Network); err != nil {
+				return err
 			}
+		}
+		if achieved[k], err = netsim.Run(cfg); err != nil {
+			return err
+		}
+	}
+
+	t := trace.NewTable(
+		fmt.Sprintf("Convergence to max-min fairness under closed-loop congestion (shared capacity %g)", float64(shared)),
+		"receiver", "fair rate", "Coordinated", "Uncoordinated", "Deterministic")
+	for si := range fanout {
+		for k := range fanout[si] {
+			want := fair.Alloc.Rate(si, k)
+			row := []string{fmt.Sprintf("r%d,%d", si+1, k+1), trace.Float(want)}
 			for _, kind := range protocol.Kinds() {
 				got := achieved[kind].ReceiverRates[si][k]
-				row = append(row, fmt.Sprintf("%s (%.0f%%)", trace.Float(got), got/fair[si][k]*100))
+				row = append(row, fmt.Sprintf("%s (%.0f%%)", trace.Float(got), got/want*100))
 			}
 			t.AddRow(row...)
 		}

@@ -19,9 +19,9 @@ import (
 	"mlfair/internal/markov"
 	"mlfair/internal/maxmin"
 	"mlfair/internal/netmodel"
+	"mlfair/internal/netsim"
 	"mlfair/internal/protocol"
 	"mlfair/internal/redundancy"
-	"mlfair/internal/sim"
 	"mlfair/internal/stats"
 	"mlfair/internal/topology"
 	"mlfair/internal/trace"
@@ -255,15 +255,36 @@ func QuickFigure8Options() Figure8Options {
 // Figure8Point runs one sweep point and returns the mean redundancy and
 // its 95% confidence half-width.
 func Figure8Point(kind protocol.Kind, sharedLoss, indLoss float64, o Figure8Options) (stats.Summary, error) {
-	reds, err := sim.RunReplicated(sim.Config{
-		Layers: 8, Receivers: o.Receivers,
-		SharedLoss: sharedLoss, IndependentLoss: indLoss,
-		Protocol: kind, Packets: o.Packets, Seed: o.Seed,
-	}, o.Trials)
+	cfg, err := netsim.Star(o.Receivers, sharedLoss, indLoss,
+		netsim.SessionConfig{Protocol: kind, Layers: 8}, o.Packets, o.Seed)
+	if err != nil {
+		return stats.Summary{}, err
+	}
+	reds, err := starRedundancies(cfg, o.Trials)
 	if err != nil {
 		return stats.Summary{}, err
 	}
 	return stats.Summarize(reds), nil
+}
+
+// starRedundancies runs a netsim.Star config trials times, at seeds
+// cfg.Seed, cfg.Seed+1, ..., and returns each run's Definition 3
+// redundancy on the shared link.
+func starRedundancies(cfg netsim.Config, trials int) ([]float64, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("experiments: trials = %d", trials)
+	}
+	reds := make([]float64, trials)
+	base := cfg.Seed
+	for i := range reds {
+		cfg.Seed = base + uint64(i)
+		r, err := netsim.Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		reds[i] = r.LinkRedundancy(0, 0)
+	}
+	return reds, nil
 }
 
 // Figure8 regenerates one panel of Figure 8: session redundancy on the

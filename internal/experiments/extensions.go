@@ -6,8 +6,8 @@ import (
 
 	"mlfair/internal/maxmin"
 	"mlfair/internal/netmodel"
+	"mlfair/internal/netsim"
 	"mlfair/internal/protocol"
-	"mlfair/internal/sim"
 	"mlfair/internal/stats"
 	"mlfair/internal/trace"
 )
@@ -41,12 +41,14 @@ func LeaveLatency(w io.Writer, o ExtensionOptions) error {
 	series := make([]trace.Series, len(kinds))
 	for ki, k := range kinds {
 		ys := make([]float64, len(latencies))
+		cfg, err := netsim.Star(o.Receivers, 0.0001, 0.04,
+			netsim.SessionConfig{Protocol: k, Layers: 8}, o.Packets, o.Seed)
+		if err != nil {
+			return err
+		}
 		for li, lat := range latencies {
-			reds, err := sim.RunReplicated(sim.Config{
-				Layers: 8, Receivers: o.Receivers, SharedLoss: 0.0001,
-				IndependentLoss: 0.04, Protocol: k, Packets: o.Packets,
-				Seed: o.Seed, LeaveLatency: lat,
-			}, o.Trials)
+			cfg.LeaveLatency = lat
+			reds, err := starRedundancies(cfg, o.Trials)
 			if err != nil {
 				return err
 			}
@@ -70,22 +72,26 @@ func PriorityDrop(w io.Writer, o ExtensionOptions) error {
 		"ind. loss", "protocol", "uniform", "priority", "change")
 	for _, loss := range losses {
 		for _, k := range protocol.Kinds() {
-			point := func(policy sim.DropPolicy) (float64, error) {
-				reds, err := sim.RunReplicated(sim.Config{
-					Layers: 8, Receivers: o.Receivers, SharedLoss: 0.0001,
-					IndependentLoss: loss, Protocol: k, Packets: o.Packets,
-					Seed: o.Seed, Drop: policy,
-				}, o.Trials)
+			point := func(priority bool) (float64, error) {
+				cfg, err := netsim.Star(o.Receivers, 0.0001, loss,
+					netsim.SessionConfig{Protocol: k, Layers: 8}, o.Packets, o.Seed)
+				if err != nil {
+					return 0, err
+				}
+				if priority {
+					netsim.PriorityDrop(cfg.Links, 8)
+				}
+				reds, err := starRedundancies(cfg, o.Trials)
 				if err != nil {
 					return 0, err
 				}
 				return stats.Mean(reds), nil
 			}
-			uni, err := point(sim.UniformDrop)
+			uni, err := point(false)
 			if err != nil {
 				return err
 			}
-			pri, err := point(sim.PriorityDrop)
+			pri, err := point(true)
 			if err != nil {
 				return err
 			}

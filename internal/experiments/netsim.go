@@ -268,24 +268,11 @@ func NetsimTree(w io.Writer, o NetsimOptions) error {
 	for d := 0; d < depth; d++ {
 		xs[d] = float64(d + 1)
 	}
-	// Link i leads into node i+1; depth via the binary-heap parent walk.
-	depthOf := func(link int) int {
-		d := 0
-		for nd := link + 1; nd != 0; nd = (nd - 1) / 2 {
-			d++
-		}
-		return d
-	}
 	series := make([]trace.Series, len(kinds))
 	for ki, k := range kinds {
-		spec := &scenario.Spec{
-			Topology:     scenario.TopologySpec{Kind: "binarytree", Depth: depth},
-			Sessions:     []scenario.SessionSpec{{Protocol: k.String(), Layers: 8}},
-			DefaultLink:  &scenario.LinkSpec{Kind: "bernoulli", Loss: linkLoss},
-			Packets:      o.Packets,
-			Seed:         o.Seed,
-			Replications: scenario.ReplicationSpec{N: o.Trials, Workers: o.Workers},
-		}
+		spec := binaryTreeSpec(depth, linkLoss, k, o.Packets)
+		spec.Seed = o.Seed
+		spec.Replications = scenario.ReplicationSpec{N: o.Trials, Workers: o.Workers}
 		c, err := scenario.Compile(spec)
 		if err != nil {
 			return err
@@ -295,7 +282,7 @@ func NetsimTree(w io.Writer, o NetsimOptions) error {
 		byDepth := make([]stats.Accumulator, depth+1)
 		err = netsim.StreamReplications(o.engineConfig(c.Cfg), o.Trials, o.Workers, func(_ int, res *netsim.Result) error {
 			for _, ls := range res.Links {
-				byDepth[depthOf(ls.Link)].Add(ls.Redundancy)
+				byDepth[binaryTreeDepth(ls.Link)].Add(ls.Redundancy)
 			}
 			return nil
 		})

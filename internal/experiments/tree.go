@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"io"
 
+	"mlfair/internal/netsim"
 	"mlfair/internal/protocol"
+	"mlfair/internal/scenario"
 	"mlfair/internal/stats"
 	"mlfair/internal/trace"
-	"mlfair/internal/treesim"
 )
 
 // TreeRedundancy measures Definition 3 on every level of a binary
@@ -26,20 +27,20 @@ func TreeRedundancy(w io.Writer, o ExtensionOptions) error {
 		xs[d] = float64(d + 1)
 	}
 	for ki, k := range kinds {
-		byDepth := make([]*stats.Accumulator, depth+1)
-		for d := range byDepth {
-			byDepth[d] = &stats.Accumulator{}
+		c, err := scenario.Compile(binaryTreeSpec(depth, linkLoss, k, o.Packets*2))
+		if err != nil {
+			return err
 		}
+		byDepth := make([]stats.Accumulator, depth+1)
 		for trial := 0; trial < o.Trials; trial++ {
-			res, err := treesim.Run(treesim.Config{
-				Tree: treesim.Binary(depth, linkLoss), Layers: 8,
-				Protocol: k, Packets: o.Packets * 2, Seed: o.Seed + uint64(trial),
-			})
+			cfg := c.Cfg
+			cfg.Seed = o.Seed + uint64(trial)
+			res, err := netsim.Run(cfg)
 			if err != nil {
 				return err
 			}
 			for _, ls := range res.Links {
-				byDepth[ls.Depth].Add(ls.Redundancy)
+				byDepth[binaryTreeDepth(ls.Link)].Add(ls.Redundancy)
 			}
 		}
 		ys := make([]float64, depth)
@@ -57,4 +58,27 @@ func TreeRedundancy(w io.Writer, o ExtensionOptions) error {
 	fmt.Fprintln(w, "depth 1 = root link (16 downstream receivers), depth 4 = leaf links (1)")
 	fmt.Fprintln(w)
 	return nil
+}
+
+// binaryTreeSpec is the loss tree of TreeRedundancy and NetsimTree: a
+// complete binary tree of the given depth, receivers at the leaves, one
+// session of the given protocol over 8 layers, and Bernoulli loss on
+// every link.
+func binaryTreeSpec(depth int, linkLoss float64, k protocol.Kind, packets int) *scenario.Spec {
+	return &scenario.Spec{
+		Topology:    scenario.TopologySpec{Kind: "binarytree", Depth: depth},
+		Sessions:    []scenario.SessionSpec{{Protocol: k.String(), Layers: 8}},
+		DefaultLink: &scenario.LinkSpec{Kind: "bernoulli", Loss: linkLoss},
+		Packets:     packets,
+	}
+}
+
+// binaryTreeDepth is the depth of the node a binarytree link leads
+// into: link i enters node i+1, and node n's parent is (n-1)/2.
+func binaryTreeDepth(link int) int {
+	d := 0
+	for nd := link + 1; nd != 0; nd = (nd - 1) / 2 {
+		d++
+	}
+	return d
 }

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"mlfair/internal/netsim"
 	"mlfair/internal/protocol"
-	"mlfair/internal/sim"
 	"mlfair/internal/stats"
 )
 
@@ -165,14 +165,20 @@ func TestModelMatchesSimulator(t *testing.T) {
 	for _, k := range []protocol.Kind{protocol.Uncoordinated, protocol.Deterministic} {
 		prm := StarParams{Layers: 4, SharedLoss: 0.005, Loss1: 0.04, Loss2: 0.04}
 		ms := solve(t, k, prm)
-		reds, err := sim.RunReplicated(sim.Config{
-			Layers: 4, Receivers: 2, SharedLoss: prm.SharedLoss,
-			IndependentLoss: prm.Loss1, Protocol: k, Packets: 200000, Seed: 97,
-		}, 6)
-		if err != nil {
-			t.Fatal(err)
+		var acc stats.Accumulator
+		for seed := uint64(97); seed < 97+6; seed++ {
+			cfg, err := netsim.Star(2, prm.SharedLoss, prm.Loss1,
+				netsim.SessionConfig{Protocol: k, Layers: 4}, 200000, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := netsim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc.Add(r.LinkRedundancy(0, 0))
 		}
-		simRed := stats.Mean(reds)
+		simRed := acc.Mean()
 		if rel := math.Abs(simRed-ms.Redundancy) / ms.Redundancy; rel > 0.15 {
 			t.Errorf("%v: analysis %v vs sim %v (rel %v)", k, ms.Redundancy, simRed, rel)
 		}

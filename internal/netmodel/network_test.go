@@ -231,6 +231,20 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestMustBuildPanics: MustBuild turns a Build error — here a receiver
+// with an empty path — into a panic, for fixed fixtures.
+func TestMustBuildPanics(t *testing.T) {
+	b := NewBuilder()
+	b.AddLink(1)
+	b.AddSession(MultiRate, NoRateCap, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MustBuild did not panic")
+		}
+	}()
+	b.MustBuild()
+}
+
 func TestBuilderPanics(t *testing.T) {
 	b := NewBuilder()
 	func() {

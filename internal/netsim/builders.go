@@ -3,15 +3,18 @@ package netsim
 import (
 	"fmt"
 
+	"mlfair/internal/layering"
 	"mlfair/internal/netmodel"
 	"mlfair/internal/routing"
 )
 
 // Star builds the paper's Figure 7(b) modified star as a netsim Config:
 // a sender behind one shared Bernoulli link feeding n receivers through
-// independent Bernoulli fanout links — the sim facade's exact topology
-// on the general engine. The shared link is link 0; fanout link k is
-// link k+1.
+// independent Bernoulli fanout links — the Section 4 topology of
+// Figure 8 and of the Section 5 leave-latency and priority-drop
+// extensions. The shared link is link 0; fanout link k is link k+1, so
+// heterogeneous receivers are a matter of setting Links[1+k].Loss, and
+// the session's shared-link redundancy is Result.LinkRedundancy(0, 0).
 func Star(n int, sharedLoss, fanoutLoss float64, sc SessionConfig, packets int, seed uint64) (Config, error) {
 	if n < 1 {
 		return Config{}, fmt.Errorf("netsim: star needs at least one receiver")
@@ -41,6 +44,97 @@ func Star(n int, sharedLoss, fanoutLoss float64, sc SessionConfig, packets int, 
 		Packets:  packets,
 		Seed:     seed,
 	}, nil
+}
+
+// CapacityStar builds the closed-loop modified star, where loss emerges
+// from link capacities instead of being configured: every session's
+// sender sits behind one shared link of capacity shared, and receiver k
+// of session i behind its own fanout link of capacity fanout[i][k].
+// Every link runs the Capacity (fluid droptail-limit) law, and every
+// session runs sc. The shared link is link 0; the fanout links follow
+// in session-major order. The same Network is the max-min benchmark:
+// maxmin.Allocate(cfg.Network) gives the fluid fair rates the
+// protocols are measured against.
+func CapacityStar(shared float64, fanout [][]float64, sc SessionConfig, packets int, seed uint64) (Config, error) {
+	if !(shared > 0) {
+		return Config{}, fmt.Errorf("netsim: capacity star shared capacity %v", shared)
+	}
+	if len(fanout) == 0 {
+		return Config{}, fmt.Errorf("netsim: capacity star needs at least one session")
+	}
+	nr := 0
+	for i, caps := range fanout {
+		if len(caps) == 0 {
+			return Config{}, fmt.Errorf("netsim: capacity star session %d has no receivers", i)
+		}
+		for k, c := range caps {
+			if !(c > 0) {
+				return Config{}, fmt.Errorf("netsim: capacity star session %d receiver %d capacity %v", i, k, c)
+			}
+		}
+		nr += len(caps)
+	}
+	g := netmodel.NewGraph(2 + nr)
+	const sender, hub = 0, 1
+	g.AddLink(sender, hub, shared)
+	sessions := make([]*netmodel.Session, len(fanout))
+	sessCfgs := make([]SessionConfig, len(fanout))
+	node := 2
+	for i, caps := range fanout {
+		receivers := make([]int, len(caps))
+		for k, c := range caps {
+			g.AddLink(hub, node, c)
+			receivers[k] = node
+			node++
+		}
+		sessions[i] = &netmodel.Session{Sender: sender, Receivers: receivers, Type: netmodel.MultiRate, MaxRate: netmodel.NoRateCap}
+		sessCfgs[i] = sc
+	}
+	net, err := routing.BuildNetwork(g, sessions)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		Network:  net,
+		Links:    CapacityLinks(net.NumLinks()),
+		Sessions: sessCfgs,
+		Packets:  packets,
+		Seed:     seed,
+	}, nil
+}
+
+// PriorityDrop switches every Bernoulli link in links from uniform to
+// priority dropping (Bajaj, Breslau and Shenker, "Uniform versus
+// Priority Dropping for Layered Video", which the paper cites when
+// asking whether priority dropping might reduce redundancy by
+// increasing receiver coordination): a layer-l packet is lost with
+// probability Loss·(l+1)/E[layer+1], capped at 0.999, where the
+// expectation weighs each of the layers by its traffic share in the
+// exponential scheme. The traffic-weighted mean loss stays Loss, and
+// base-layer packets are the safest, so receivers near the same level
+// see losses on the same layers. layers < 1 leaves links unchanged
+// (Run rejects such a session anyway).
+func PriorityDrop(links []LinkSpec, layers int) {
+	if layers < 1 {
+		return
+	}
+	scheme := layering.Exponential(layers)
+	num, den := 0.0, 0.0
+	for x := 0; x < layers; x++ {
+		num += float64(x+1) * scheme.LayerRate(x)
+		den += scheme.LayerRate(x)
+	}
+	mean := num / den
+	for j := range links {
+		if links[j].Kind != Bernoulli {
+			continue
+		}
+		table := make([]float64, layers)
+		for l := range table {
+			table[l] = min(links[j].Loss*(float64(l+1)/mean), 0.999)
+		}
+		links[j].LayerLoss = table
+	}
 }
 
 // Mesh builds a multi-session "dumbbell mesh": ns sessions, each with

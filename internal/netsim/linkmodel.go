@@ -12,12 +12,13 @@ const (
 	// Perfect links never lose packets and add no delay.
 	Perfect LinkKind = iota
 	// Bernoulli links drop each entering packet independently with
-	// probability Loss — the paper's exogenous Section 4 loss model,
-	// identical to the sim and treesim packages.
+	// probability Loss — the paper's exogenous Section 4 loss model, on
+	// the star (Star) and on loss trees.
 	Bernoulli
 	// Capacity links drop with probability max(0, (D-C)/D) where D is the
 	// instantaneous fluid demand of all sessions (plus background load) on
-	// the link and C its capacity — capsim's closed-loop model on a
+	// the link and C its capacity — the fluid limit of a droptail queue,
+	// so loss emerges from congestion (CapacityStar's closed loop) on a
 	// general graph.
 	Capacity
 	// DropTail links model a finite FIFO queue served at rate Capacity
@@ -52,8 +53,8 @@ type LinkSpec struct {
 	// probabilities (Bernoulli only; overrides Loss): a layer-l packet is
 	// dropped with probability LayerLoss[l], clamped to the last entry
 	// for deeper layers. This is the priority-dropping lever (Bajaj/
-	// Breslau/Shenker): rising tables sacrifice enhancement layers to
-	// protect the base layer.
+	// Breslau/Shenker; see PriorityDrop): rising tables sacrifice
+	// enhancement layers to protect the base layer.
 	LayerLoss []float64
 	// Capacity is the service/fluid rate in packets per time unit
 	// (Capacity and DropTail). Zero means "use the graph's link

@@ -1,9 +1,11 @@
 // Package netsim is THE discrete-event, packet-level simulator for
 // layered multicast congestion control over arbitrary netmodel.Network
-// graphs: sim (modified star, exogenous loss), treesim (loss trees) and
-// capsim (capacity-coupled star) are facades that compile their configs
-// onto this engine and re-map its results, owning no event loop of
-// their own.
+// graphs. Every simulated result of the reproduction runs on it: the
+// paper's Section 4 modified star (Star; Figures 7(b) and 8), the
+// Section 5 leave-latency and priority-drop extensions
+// (Config.LeaveLatency, PriorityDrop), the closed-loop star
+// (CapacityStar), and the loss trees and large topologies the scenario
+// package compiles.
 //
 // The engine runs the paper's general network model N = (G, {S_i}, τ, Γ)
 // forward in time: every session transmits the Section 4 exponential
@@ -11,7 +13,7 @@
 // multicast tree (the union of its receivers' data-paths) with idealized
 // pruning — a packet enters a link iff some subscribed receiver below it
 // wants its layer; each link applies a pluggable loss/queue model
-// (LinkSpec): exogenous Bernoulli loss, capsim's fluid capacity-coupled
+// (LinkSpec): exogenous Bernoulli loss, a fluid capacity-coupled
 // drop, or a finite droptail queue with service rate, buffer, and
 // propagation delay, optionally sharing its capacity with constant
 // background cross-traffic (the TCP-over-ABR/UBR setting). Receivers run
@@ -75,7 +77,8 @@
 //     per crossing), and the protocol state machines are flattened into
 //     parallel arrays with their transitions inlined (mirroring
 //     protocol.Receiver exactly; the protocol package's unit tests and
-//     the facades' behavioral suites guard the equivalence).
+//     the star, tree and closed-loop behavioural suites guard the
+//     equivalence).
 //   - The paper's "maximum joined layer below a link" is maintained
 //     incrementally: each node keeps per-level contribution counts in a
 //     power-of-two-stride row (single-contribution nodes skip even
@@ -206,9 +209,8 @@ type Config struct {
 	// drops, the link keeps carrying the abandoned layers for this many
 	// time units. Lingering crossings consume link bandwidth (they count
 	// in LinkStats.Crossed) but deliver nothing, observe no losses, and
-	// draw no randomness — so receiver dynamics at equal seeds are
-	// identical across latencies, exactly the sim package's historical
-	// contract.
+	// draw no randomness — so receiver dynamics, and every link's drops
+	// and fluid usage, are identical across latencies at equal seeds.
 	LeaveLatency float64
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed uint64
@@ -236,9 +238,10 @@ type LinkStats struct {
 	// FluidRate is the session's time-average fluid demand on the link:
 	// the integral of the cumulative scheme rate of the highest
 	// subscription level below the link, over the run duration. This is
-	// the u_{i,j} the paper's fluid analysis assigns to the session, the
-	// quantity the capacity-coupled drop law meters, and what the capsim
-	// facade reports as SessionLinkRates.
+	// the u_{i,j} the paper's fluid analysis assigns to the session and
+	// the quantity the capacity-coupled drop law meters; on a
+	// CapacityStar's shared link it is each session's usage of the
+	// bottleneck.
 	FluidRate float64
 }
 
@@ -256,8 +259,8 @@ type Result struct {
 	FinalLevels [][]int
 	// MeanLevels[i] is session i's time-average subscription level,
 	// averaged across its receivers (receivers departed by churn count
-	// level 0 while away) — the sim package's MeanLevel diagnostic on
-	// the general engine.
+	// level 0 while away) — the mean-level diagnostic of the star
+	// runs.
 	MeanLevels []float64
 	// Links holds per-(link, session) stats for every link crossed by at
 	// least one receiver of the session, in link-major order.
@@ -304,6 +307,9 @@ func (r *Result) SessionRedundancy(session int) float64 {
 func (c *Config) validate() error {
 	if c.Network == nil {
 		return fmt.Errorf("netsim: nil network")
+	}
+	if c.Network.NumSessions() == 0 {
+		return fmt.Errorf("netsim: network has no sessions")
 	}
 	if len(c.Sessions) != c.Network.NumSessions() {
 		return fmt.Errorf("netsim: %d session configs for %d sessions", len(c.Sessions), c.Network.NumSessions())
@@ -370,6 +376,49 @@ func (c *Config) validate() error {
 			return fmt.Errorf("netsim: churn %d receiver %d out of range", ci, ev.Receiver)
 		}
 	}
+	return c.validateClocks()
+}
+
+// maxRounds caps how often a periodic clock may fire over one run: the
+// same 2^20 bound scenario puts on a periodic churn process's rounds.
+// A run whose packet budget is larger may fire a clock once per
+// transmission, which costs no more than the run's own work.
+const maxRounds = 1 << 20
+
+// validateClocks bounds the firings of the time-driven clocks — probe
+// windows and the Coordinated signal clock — over the run's horizon.
+// Both clocks advance by repeated addition, which stops moving once the
+// period falls below the clock's float precision, so a tiny period
+// would never let the run end. The horizon is taken in closed form as
+// Packets over the sessions' aggregate sending rate Σ_i 2^(M_i−1), so
+// the check costs O(sessions).
+func (c *Config) validateClocks() error {
+	rate := 0.0
+	signalled := false
+	for _, sc := range c.Sessions {
+		rate += math.Ldexp(1, sc.Layers-1)
+		if sc.Protocol == protocol.Coordinated && sc.Layers > 1 {
+			signalled = true
+		}
+	}
+	horizon := float64(c.Packets) / rate
+	limit := max(maxRounds, c.Packets)
+	if c.Probe != nil && c.Probe.Window > 0 {
+		if n := horizon / c.Probe.Window; n > float64(limit) {
+			return fmt.Errorf("netsim: probe Window = %v closes %.3g windows over the run's %.4g time units (limit %d)",
+				c.Probe.Window, n, horizon, limit)
+		}
+	}
+	if signalled {
+		period := c.SignalPeriod
+		if period == 0 {
+			period = 1
+		}
+		if n := horizon / period; n > float64(limit) {
+			return fmt.Errorf("netsim: SignalPeriod = %v fires %.3g signals over the run's %.4g time units (limit %d)",
+				c.SignalPeriod, n, horizon, limit)
+		}
+	}
 	return nil
 }
 
@@ -384,8 +433,8 @@ const (
 )
 
 // event is a compact 32-byte value. Same-instant ties break on key,
-// which packs the priority class (packet events before signals,
-// reproducing sim's strict-inequality signal clock) above a monotone
+// which packs the priority class (packet events before signals, so a
+// signal sees every same-instant packet) above a monotone
 // push sequence number. Sender transmissions never enter the queue —
 // they live on the per-session calendar (see sessState.txNext) — so at
 // steady state the queue holds only delayed deliveries, churn, and the
@@ -624,8 +673,8 @@ type sessState struct {
 
 	// Receiver protocol state, flattened from protocol.Receiver into
 	// parallel arrays. The transition logic mirrors protocol.Receiver
-	// exactly (the sim/treesim/capsim cross-check tests guard the
-	// equivalence): levels[k] is the joined layer count (0 while
+	// exactly (the protocol package's unit tests and the star, tree and
+	// closed-loop behavioural suites guard the equivalence): levels[k] is the joined layer count (0 while
 	// departed), countdown[k] the Deterministic/Uncoordinated join
 	// countdown, clean[k] the Coordinated
 	// no-congestion-since-last-opportunity window. At a single-receiver
@@ -2172,7 +2221,7 @@ func (e *engine) run(budget int) {
 // popThrough runs the scheduled events that precede a transmission at
 // ts: everything strictly earlier, plus same-instant packet events
 // (delayed deliveries, churn). Signals yield to same-instant packets,
-// reproducing sim's strict-inequality signal clock.
+// so a signal sees every packet of its instant.
 func (e *engine) popThrough(ts float64) {
 	for len(e.q.a) > 0 {
 		top := &e.q.a[0]

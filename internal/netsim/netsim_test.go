@@ -10,13 +10,10 @@ import (
 	"mlfair/internal/protocol"
 )
 
+// starCfg is an 8-layer star (see star in star_test.go).
 func starCfg(t *testing.T, n int, sharedLoss, fanoutLoss float64, kind protocol.Kind, packets int, seed uint64) Config {
 	t.Helper()
-	cfg, err := Star(n, sharedLoss, fanoutLoss, SessionConfig{Protocol: kind, Layers: 8}, packets, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
+	return star(t, n, sharedLoss, fanoutLoss, kind, 8, packets, seed)
 }
 
 // TestPerfectLinksRedundancyOne: with lossless links every receiver
@@ -236,6 +233,88 @@ func TestValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want mention of %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// checkClockBound sets a clock period on a 2,000-packet star of one
+// 8-layer Coordinated session, a 15.625-unit horizon (Packets over the
+// aggregate sending rate). A period whose clock would fire more than
+// maxRounds times over the horizon must be rejected up front, by
+// PlanMemory and Run alike, naming the field: the clock advances by
+// additions that stop moving it once the period falls below its float
+// precision, so the run would never end. A period within the bound
+// runs.
+func checkClockBound(t *testing.T, field string, set func(c *Config, period float64)) {
+	t.Helper()
+	good := starCfg(t, 10, 0.001, 0.02, protocol.Coordinated, 2000, 1)
+	// 1e-5 fires 1.56M times, just over the 2^20 bound.
+	for _, period := range []float64{1e-300, 1e-20, 1e-5} {
+		c := good
+		set(&c, period)
+		if _, err := PlanMemory(c); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("period %v: PlanMemory error %v, want mention of %q", period, err, field)
+		}
+		if _, err := Run(c); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("period %v: Run error %v, want mention of %q", period, err, field)
+		}
+	}
+	c := good
+	set(&c, 1e-3) // 15,625 firings
+	if _, err := Run(c); err != nil {
+		t.Fatalf("period 1e-3: %v", err)
+	}
+	// A budget above the bound may fire the clock once per packet: a
+	// 3M-packet run of 2 layers spans 1.5M time units, so period 1 is
+	// accepted there and period 1/2 (3M firings) is too; 1/4 is not.
+	long := starCfg(t, 1, 0, 0.01, protocol.Coordinated, 3000000, 1)
+	long.Sessions[0].Layers = 2
+	for _, tc := range []struct {
+		period float64
+		ok     bool
+	}{{1, true}, {0.5, true}, {0.25, false}} {
+		c := long
+		set(&c, tc.period)
+		if _, err := PlanMemory(c); (err == nil) != tc.ok {
+			t.Fatalf("3M packets, period %v: PlanMemory error %v, want accepted = %v", tc.period, err, tc.ok)
+		}
+	}
+}
+
+// TestProbeWindowBounded: a time probe window may not close more than
+// maxRounds windows over the run.
+func TestProbeWindowBounded(t *testing.T) {
+	checkClockBound(t, "probe Window", func(c *Config, w float64) { c.Probe = &ProbeConfig{Window: w} })
+}
+
+// TestSignalPeriodBounded: the Coordinated signal clock may not fire
+// more than maxRounds times over the run; without a Coordinated
+// session of two or more layers no clock is armed, and any period is
+// harmless.
+func TestSignalPeriodBounded(t *testing.T) {
+	checkClockBound(t, "SignalPeriod", func(c *Config, p float64) { c.SignalPeriod = p })
+	c := starCfg(t, 10, 0.001, 0.02, protocol.Uncoordinated, 2000, 1)
+	c.SignalPeriod = 1e-300
+	if _, err := Run(c); err != nil {
+		t.Fatalf("uncoordinated session with a tiny signal period: %v", err)
+	}
+}
+
+// TestSessionlessNetworkRejected: a network without sessions has
+// nothing to send, and PlanMemory and Run reject it alike.
+func TestSessionlessNetworkRejected(t *testing.T) {
+	g := netmodel.NewGraph(2)
+	g.AddLink(0, 1, 1)
+	net, err := netmodel.NewNetwork(g, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Network: net, Packets: 10}
+	const want = "netsim: network has no sessions"
+	if _, err := PlanMemory(cfg); err == nil || err.Error() != want {
+		t.Fatalf("PlanMemory error %v, want %q", err, want)
+	}
+	if _, err := Run(cfg); err == nil || err.Error() != want {
+		t.Fatalf("Run error %v, want %q", err, want)
 	}
 }
 

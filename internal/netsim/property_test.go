@@ -63,8 +63,9 @@ func randomConfig(rng *rand.Rand) Config {
 //   - the packet budget is spent exactly;
 //   - a receiver never gets more packets than its session pushed across
 //     any link on its data-path (packets delivered <= packets sent);
-//   - per-link crossings never exceed the session's transmissions, and
-//     Rate is exactly Crossed over the duration;
+//   - per-link crossings never exceed the session's transmissions, a
+//     link never drops more packets than crossed it, and Rate is
+//     exactly Crossed over the duration;
 //   - Definition 3 redundancy sits in [0, PacketsSent];
 //   - final subscription levels sit in [1, M] for joined receivers, 0
 //     only for churned-out ones.
@@ -110,6 +111,9 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 		if ls.Crossed < 0 || ls.Crossed > res.PacketsSent {
 			t.Fatalf("link %d session %d crossed %d outside [0, %d]", ls.Link, ls.Session, ls.Crossed, res.PacketsSent)
 		}
+		if ls.Dropped < 0 || ls.Dropped > ls.Crossed {
+			t.Fatalf("link %d session %d dropped %d outside [0, crossed %d]", ls.Link, ls.Session, ls.Dropped, ls.Crossed)
+		}
 		if res.Duration > 0 && ls.Rate != float64(ls.Crossed)/res.Duration {
 			t.Fatalf("link %d rate %v inconsistent with crossings", ls.Link, ls.Rate)
 		}
@@ -139,6 +143,64 @@ func TestEngineInvariants(t *testing.T) {
 		}
 		checkInvariants(t, cfg, res)
 	}
+}
+
+// TestLingerKeepsDynamics pins the LeaveLatency contract under every
+// link kind: lingering crossings consume link bandwidth but deliver
+// nothing, observe no losses and draw no randomness. So a run at
+// latency L > 0 keeps the L = 0 run's receiver dynamics and every
+// link's drops and fluid usage exactly, and no link's crossings fall.
+// randomConfig draws all four link kinds, so DropTail continuations
+// enter linger sessions mid-tree. L derives from each config's seed, so
+// the generator's draws stay those of TestEngineInvariants.
+func TestLingerKeepsDynamics(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2026, 7))
+	n := 40
+	if testing.Short() {
+		n = 8
+	}
+	lingered := 0
+	for trial := 0; trial < n; trial++ {
+		cfg := randomConfig(rng)
+		base, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		cfg.LeaveLatency = 0.25 + float64(cfg.Seed%32)/4
+		lat, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("trial %d at latency %v: %v", trial, cfg.LeaveLatency, err)
+		}
+		checkInvariants(t, cfg, lat)
+		if !reflect.DeepEqual(base.ReceiverPackets, lat.ReceiverPackets) ||
+			!reflect.DeepEqual(base.FinalLevels, lat.FinalLevels) ||
+			!reflect.DeepEqual(base.MeanLevels, lat.MeanLevels) {
+			t.Fatalf("trial %d: latency %v changed receiver dynamics", trial, cfg.LeaveLatency)
+		}
+		if len(base.Links) != len(lat.Links) {
+			t.Fatalf("trial %d: %d link stats at latency 0, %d at %v", trial, len(base.Links), len(lat.Links), cfg.LeaveLatency)
+		}
+		for i, a := range base.Links {
+			b := lat.Links[i]
+			if a.Link != b.Link || a.Session != b.Session {
+				t.Fatalf("trial %d: link stats %d are (%d,%d) vs (%d,%d)", trial, i, a.Link, a.Session, b.Link, b.Session)
+			}
+			if a.Dropped != b.Dropped || a.FluidRate != b.FluidRate {
+				t.Fatalf("trial %d link %d session %d: latency changed drops %d -> %d or fluid rate %v -> %v",
+					trial, a.Link, a.Session, a.Dropped, b.Dropped, a.FluidRate, b.FluidRate)
+			}
+			if b.Crossed < a.Crossed {
+				t.Fatalf("trial %d link %d session %d: crossings fell %d -> %d under latency", trial, a.Link, a.Session, a.Crossed, b.Crossed)
+			}
+			if b.Crossed > a.Crossed {
+				lingered++
+			}
+		}
+	}
+	if lingered == 0 {
+		t.Fatal("no link ever carried a lingering crossing: the property checked nothing")
+	}
+	t.Logf("%d links carried lingering crossings over %d configs", lingered, n)
 }
 
 // TestSubscriptionLevelsWithinBounds: on a churn-free run every

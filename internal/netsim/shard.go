@@ -195,11 +195,7 @@ func groupBudgets(cfg Config, groupOf []int, numGroups int) (budgets []int, hori
 // group, either way, needs no replay: it owns the whole budget, and its
 // clock stops at the run's final transmission.
 func runGroups(cfg Config) (*Result, error) {
-	S := cfg.Network.NumSessions()
-	if S == 0 {
-		return nil, fmt.Errorf("netsim: event queue drained before packet budget")
-	}
-	all := make([]int, S)
+	all := make([]int, cfg.Network.NumSessions())
 	for i := range all {
 		all[i] = i
 	}

@@ -14,14 +14,14 @@
 //     opportunity. The nesting reproduces the paper's rule that a signal
 //     for level i implies one for every level j < i, and the schedule's
 //     periods are chosen so the expected packets between events match the
-//     other protocols (see sim.SignalLevel).
+//     other protocols (see SignalLevel).
 //
 // In every protocol a receiver reacts to a congestion event (a lost or
 // marked packet) by leaving its highest joined layer, unless it is joined
 // only to the base layer. Subscription levels are therefore always in
 // [1, M] — prefixes of the layer stack — exactly the regime in which the
 // union of receiver subscriptions on a shared link is the maximum level
-// (see the sim package's redundancy accounting).
+// (netsim's shared-link redundancy accounting rests on this).
 //
 // The layer rates follow the paper's Section 4 choice: the aggregate rate
 // of layers 1..i is 2^(i-1) (layering.Exponential).

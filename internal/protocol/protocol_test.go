@@ -309,3 +309,24 @@ func TestGeometricSamplerEdge(t *testing.T) {
 		t.Fatalf("Geometric(0.25) mean = %v, want ~4", mean)
 	}
 }
+
+// TestSignalLevelRuler: the Coordinated signal schedule is the ruler
+// sequence 1 + trailing zeros of n, capped at maxLevel; signals count
+// from 1.
+func TestSignalLevelRuler(t *testing.T) {
+	want := []int{1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5}
+	for i, w := range want {
+		if got := SignalLevel(i+1, 7); got != w {
+			t.Fatalf("SignalLevel(%d) = %d, want %d", i+1, got, w)
+		}
+	}
+	if got := SignalLevel(64, 3); got != 3 {
+		t.Fatalf("cap failed: %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("index 0 accepted")
+		}
+	}()
+	SignalLevel(0, 3)
+}

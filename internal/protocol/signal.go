@@ -9,8 +9,8 @@ import "math/bits"
 // time unit) sees an expected 2^(2(v-1)) packets between its join
 // opportunities — the paper's parameter.
 //
-// The schedule is shared by every engine driving Coordinated receivers
-// (netsim, and the sim facade which re-exports it).
+// netsim's global signal clock drives every Coordinated session on this
+// schedule.
 func SignalLevel(n int, maxLevel int) int {
 	if n < 1 {
 		panic("protocol: signal index starts at 1")

@@ -3,6 +3,8 @@ package redundancy_test
 import (
 	"fmt"
 
+	"mlfair/internal/maxmin"
+	"mlfair/internal/netmodel"
 	"mlfair/internal/redundancy"
 )
 
@@ -26,4 +28,25 @@ func ExampleSingleLayer() {
 func ExampleNormalizedFairRate() {
 	fmt.Println(redundancy.NormalizedFairRate(1, 2))
 	// Output: 0.5
+}
+
+// ExampleOfAllocation measures Definition 3 on an inefficient session:
+// a multi-rate session using twice its fastest receiver's rate on the
+// link its three receivers share.
+func ExampleOfAllocation() {
+	b := netmodel.NewBuilder()
+	for _, c := range []float64{6, 5, 2, 3} {
+		b.AddLink(c)
+	}
+	s := b.AddSession(netmodel.MultiRate, 100, 3)
+	b.SetPath(s, 0, 0, 1)
+	b.SetPath(s, 1, 0, 2)
+	b.SetPath(s, 2, 0, 3)
+	b.SetLinkRate(s, netmodel.SharedScaledMax(2))
+	other := b.AddSession(netmodel.MultiRate, 100, 1)
+	b.SetPath(other, 0, 0, 1)
+	res, _ := maxmin.Allocate(b.MustBuild())
+	r, _ := redundancy.OfAllocation(res.Alloc, s, 0)
+	fmt.Printf("%.0f\n", r)
+	// Output: 2
 }

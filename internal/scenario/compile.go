@@ -163,6 +163,11 @@ func (s *Spec) buildTopology() (*netmodel.Network, bool, error) {
 		if len(t.ReceiverNodes) == 0 {
 			return nil, false, fmt.Errorf("scenario: tree needs receiverNodes")
 		}
+		for _, nd := range t.ReceiverNodes {
+			if nd < 0 || nd >= n {
+				return nil, false, fmt.Errorf("scenario: tree receiver node %d out of range [0, %d)", nd, n)
+			}
+		}
 		g := netmodel.NewGraph(n)
 		for i := 1; i < n; i++ {
 			if t.Parent[i] < 0 || t.Parent[i] >= i {

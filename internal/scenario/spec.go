@@ -127,9 +127,10 @@ type TopologySpec struct {
 	// (defaults 1..1); node i's parent link is link i-1.
 	Depth int `json:"depth,omitempty"`
 
-	// tree: explicit rooted tree in treesim numbering — Parent[i] is
-	// node i's parent (Parent[0] ignored), ReceiverNodes the receiver
-	// placements; node i's parent link is link i-1.
+	// tree: explicit rooted tree in topological numbering — node 0 is
+	// the sender, Parent[i] < i is node i's parent (Parent[0] ignored),
+	// ReceiverNodes the receiver placements; node i's parent link is
+	// link i-1.
 	Parent        []int `json:"parent,omitempty"`
 	ReceiverNodes []int `json:"receiverNodes,omitempty"`
 
