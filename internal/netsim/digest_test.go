@@ -12,7 +12,9 @@ import (
 	"slices"
 	"testing"
 
+	"mlfair/internal/netmodel"
 	"mlfair/internal/protocol"
+	"mlfair/internal/routing"
 	"mlfair/internal/topology"
 )
 
@@ -122,6 +124,13 @@ func (d *digester) floats(vs []float64) {
 // the engine as it stood before countdowns at multi-receiver nodes became
 // per-level settles: receivers that reach the top level and re-arm
 // there, and Deterministic receivers that leave and rejoin.
+//
+// The wide cases were recorded from the engine as it stood before a hub
+// of single-receiver leaves was crossed in one pass and lingering
+// crossings were read from per-(node, layer) window lists: a 40-leaf
+// star with lossy and with Perfect leaves, each at leave latency 0 and
+// 2, under churn with a leave latency, probed, and behind a DropTail or
+// a Capacity shared link; and a star whose hub is the sender itself.
 func TestResultDigests(t *testing.T) {
 	// resultDigest must see every field: a new one has to be added there.
 	if n := reflect.TypeOf(Result{}).NumField(); n != 9 {
@@ -162,6 +171,39 @@ func TestResultDigests(t *testing.T) {
 		"pop100/top/Uncoordinated":              "f85927b24c1a7e3e4909a22e82b1ea805db07c3eb9dbd556b1a9fae22836cd1e",
 		"pop100/top/Deterministic":              "cad71058a45132ca1d1951b5ebb3ac3c6aeb0c053ed978df6b01853f7bb96b9d",
 		"pop100/churn/Deterministic":            "90e84370f40ef4fd4d092587ac85926ba4513dec1d5a6efbf9bb1fd2958ad753",
+		"wide/bernoulli/Coordinated":            "7b004b572b618c80980778c8f3334d0c624f0526041f6b3c36dfd97d497da10f",
+		"wide/bernoulli/Coordinated/linger":     "d9e4d773afa77563d23831e404b23c9b2677427331c00ab0bcff29bef1a85948",
+		"wide/perfect/Coordinated":              "0af6d7be6b4da87e7db072688421cd1b0dc62247a914a7623e7664d163b525d2",
+		"wide/perfect/Coordinated/linger":       "bcebbe706f855266c71b2a439e1ca4af2c2e8cbdcb3b25828633c1bdc4828ed5",
+		"wide/churn/linger/Coordinated":         "461236f2270e835dbec6e9aabcdad5fbed2ca73fb8cabd8149a6b48959eee147",
+		"wide/probed/Coordinated":               "5fe3d5939de7341594680baf1d4811277917a5fa3c646e7c7312ff650d41e106",
+		"wide/droptail/Coordinated":             "56a56f550f057f7d7526b8af5d00e9d9c11fd28d24903f210f9ba1ac303c715f",
+		"wide/capacity/bernoulli/Coordinated":   "fe622184d89905c71b9aa04b44aaabf3c4eb655ea8cd55abf140f8a06309b69e",
+		"wide/capacity/perfect/Coordinated":     "ed112d62b08feb6fcac938eb1f7f4900900988cfb4953c3e800478590899949f",
+		"wide/bernoulli/Uncoordinated":          "b0079d69d7bcc2675b644ac323b3cca6d615e0fd6973eedb6b09b91c3211b47e",
+		"wide/bernoulli/Uncoordinated/linger":   "f302ac9017f8d9f7ecfc6b79fb7f404dc47f118d474763c8823df82be2ee71a8",
+		"wide/perfect/Uncoordinated":            "a940dbaf700299f8188e94f331bb2a11f4cabae7d0636248f646126624a16b53",
+		"wide/perfect/Uncoordinated/linger":     "53b4791a906a48fb01c1471edca8d65deb9e7c2256d0f5d844977f92f413dd5b",
+		"wide/churn/linger/Uncoordinated":       "5124a4e7f4b3772ce15e5b634edf27c789efa5a7a75f05c4daf3e52177bf1252",
+		"wide/probed/Uncoordinated":             "615f0d40f2cc9c9ff28a73954ab5bb7c66c2020b11c1c0c7759c1e96f0c189dd",
+		"wide/droptail/Uncoordinated":           "8542e3a07c3ca92b6c28112fabef79b30cc19e587ce5a7386ed7655a4b57a9de",
+		"wide/capacity/bernoulli/Uncoordinated": "776738e7e15735d585c9d6a4117f916b489af5794077ab085f4a09e574ea12cf",
+		"wide/capacity/perfect/Uncoordinated":   "51362834e648473afec85776295f1e1cfb924b882c14f00393b2e56ce4a20dc8",
+		"wide/bernoulli/Deterministic":          "10845eba6517ea6590ed49683d46e53482cdfb14fdf4080c008a1d9151190ec0",
+		"wide/bernoulli/Deterministic/linger":   "731d227b573fe8f9a85f35f4e2bd64e5ac885be32d85c0c0529e7b746be58366",
+		"wide/perfect/Deterministic":            "402272f10d95aea1c4493d0e407c7338cc32186ed06e3254ec946cec1f3a86de",
+		"wide/perfect/Deterministic/linger":     "8ebf8f98ce7f8be152c8ea9b80229ce7d93d7d0bd9e124304d344c8eb2c4b442",
+		"wide/churn/linger/Deterministic":       "419efa2d34c30aad10faf19574a754859064bb1da7df39f392acaa07844c9487",
+		"wide/probed/Deterministic":             "069b02c058bd5a60d9bdc461c4437bae0f8631b3efbd231a1feed86e3cb2ff48",
+		"wide/droptail/Deterministic":           "f3cba99704ddcb4fc9d3207773e22e531b5c35ba4992d34a25ea5ba07665cca1",
+		"wide/capacity/bernoulli/Deterministic": "9ddb5f2c197611571f687b595598c71f93bb7f966e2f1e348e69ac7a648d8202",
+		"wide/capacity/perfect/Deterministic":   "a6748464676bdacaac54724d69ae61567c8ed7c53f6064964d5c364c2122b489",
+		"wide/root/Coordinated":                 "d3aad7fefae4271e8baf32384ea0900cf20d0ec485acf534c391f3eaec8325aa",
+		"wide/root/linger/Coordinated":          "82e9063b4e588d24f17de747527b15f1dc983552c6f14d6f37554803be8d8e68",
+		"wide/root/Uncoordinated":               "f6ae3f120c00be2634e52de163b25b531c165f03252f7b4082ac675043318071",
+		"wide/root/linger/Uncoordinated":        "0f60d481b11f75c12c3c2329b6b211cec3efbe80c8cebfbcafdabfd2820d8123",
+		"wide/root/Deterministic":               "0bb46112a13505af689a310900913ac2342cb6dba0becdd4c9b9bc7eb9963c71",
+		"wide/root/linger/Deterministic":        "b3bc1bef5752f6f8abdf8242affa2ce4ac9856a7321ef533eb76a9153a09993a",
 	}
 	check := func(name string, cfg Config) *Result {
 		t.Helper()
@@ -265,6 +307,67 @@ func TestResultDigests(t *testing.T) {
 	churned := pop100Cfg(t, protocol.Deterministic, 53)
 	churned.Churn = pop100Churn(churned)
 	check("pop100/churn/Deterministic", churned)
+
+	// Wide stars: a hub of 40 single-receiver leaves, reached by every
+	// walk variant. A linger case must raise some leaf link's crossings
+	// over its latency-0 twin: no golden reads leaf links, so this is
+	// where lingering crossings at the hub are pinned. Perfect leaves
+	// under Coordinated or Deterministic are the exception, checked the
+	// other way round: their receivers stay in step and leave together,
+	// on a shared-link loss, so no packet of the layer they abandoned
+	// reaches the hub.
+	lingers := func(name string, cfg Config, want bool) {
+		t.Helper()
+		lat := check(name, cfg)
+		cfg.LeaveLatency = 0
+		base, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s at latency 0: %v", name, err)
+		}
+		got := false
+		for i, ls := range lat.Links {
+			if ls.Link > 0 && ls.Crossed > base.Links[i].Crossed {
+				got = true
+			}
+		}
+		if got != want {
+			t.Errorf("%s: a leaf link carried lingering crossings: %v, want %v", name, got, want)
+		}
+	}
+	for _, kind := range protocol.Kinds() {
+		for _, leaves := range []string{"bernoulli", "perfect"} {
+			name := "wide/" + leaves + "/" + kind.String()
+			cfg := wideStarCfg(t, kind, leaves == "perfect", 59)
+			check(name, cfg)
+			cfg.LeaveLatency = 2
+			lingers(name+"/linger", cfg, leaves == "bernoulli" || kind == protocol.Uncoordinated)
+		}
+		churn := wideStarCfg(t, kind, false, 61)
+		churn.Churn = UniformChurn(churn.Network, 1.5, 3, 40)
+		churn.LeaveLatency = 2
+		lingers("wide/churn/linger/"+kind.String(), churn, true)
+		probe := wideStarCfg(t, kind, false, 67)
+		probe.Probe = &ProbeConfig{PacketWindow: 500, MaxSamples: 4}
+		check("wide/probed/"+kind.String(), probe)
+		// Every packet reaches the hub through the event queue and enters
+		// the walk there.
+		dt := wideStarCfg(t, kind, false, 71)
+		dt.Links[0] = LinkSpec{Kind: DropTail, Capacity: 40, Buffer: 8, Delay: 0.05}
+		check("wide/droptail/"+kind.String(), dt)
+		// Bernoulli leaves take the generic walk, Perfect ones the
+		// capacity-only walk.
+		for _, leaves := range []string{"bernoulli", "perfect"} {
+			cp := wideStarCfg(t, kind, leaves == "perfect", 73)
+			cp.Links[0] = LinkSpec{Kind: Capacity, Capacity: 24}
+			check("wide/capacity/"+leaves+"/"+kind.String(), cp)
+		}
+		// The sender as the hub: the walk enters at the hub on every
+		// packet.
+		root := rootHubCfg(t, kind, 79)
+		check("wide/root/"+kind.String(), root)
+		root.LeaveLatency = 2
+		lingers("wide/root/linger/"+kind.String(), root, true)
+	}
 	if len(want) != 0 {
 		t.Fatalf("digests never checked: %v", want)
 	}
@@ -300,6 +403,50 @@ func pop100Cfg(t *testing.T, kind protocol.Kind, seed uint64) Config {
 	return Config{
 		Network:  net,
 		Links:    specs,
+		Sessions: []SessionConfig{{Protocol: kind, Layers: 8}},
+		Packets:  6000,
+		Seed:     seed,
+	}
+}
+
+// wideStarCfg is a 40-receiver modified star: its hub's fan-out is
+// above wideFanout and each child is a leaf hosting one receiver. The
+// leaves lose 4% of packets, or none over Perfect links; the shared
+// link loses 1%.
+func wideStarCfg(t *testing.T, kind protocol.Kind, perfect bool, seed uint64) Config {
+	t.Helper()
+	cfg := star(t, 40, 0.01, 0.04, kind, 8, 6000, seed)
+	if perfect {
+		for j := 1; j < len(cfg.Links); j++ {
+			cfg.Links[j] = LinkSpec{}
+		}
+	}
+	return cfg
+}
+
+// rootHubCfg is a star without its shared link: the sender is the hub of
+// 24 single-receiver leaves, each losing 4% of packets.
+func rootHubCfg(t *testing.T, kind protocol.Kind, seed uint64) Config {
+	t.Helper()
+	const n = 24
+	g := netmodel.NewGraph(1 + n)
+	receivers := make([]int, n)
+	for k := range receivers {
+		g.AddLink(0, 1+k, 1)
+		receivers[k] = 1 + k
+	}
+	s := &netmodel.Session{Sender: 0, Receivers: receivers, Type: netmodel.MultiRate, MaxRate: netmodel.NoRateCap}
+	net, err := routing.BuildNetwork(g, []*netmodel.Session{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := make([]LinkSpec, n)
+	for j := range links {
+		links[j] = LinkSpec{Kind: Bernoulli, Loss: 0.04}
+	}
+	return Config{
+		Network:  net,
+		Links:    links,
 		Sessions: []SessionConfig{{Protocol: kind, Layers: 8}},
 		Packets:  6000,
 		Seed:     seed,

@@ -78,24 +78,32 @@ func FuzzConfigValidation(f *testing.F) {
 }
 
 // FuzzStarBuilder fuzzes the Star builder's parameter validation and a
-// short run on acceptance: no panics on arbitrary sizes and loss rates.
+// short run on acceptance: no panics on arbitrary sizes and loss rates,
+// and on acceptance every invariant checkInvariants asserts. The seed
+// also picks the protocol and a leave latency of 0 to 4, so a star of
+// more than wideFanout receivers reaches the one-pass hub walk and the
+// linger lists under every protocol.
+//
+// Run the stored corpus with the normal test suite, or explore with:
+//
+//	go test -run '^$' -fuzz FuzzStarBuilder ./internal/netsim
 func FuzzStarBuilder(f *testing.F) {
 	f.Add(int16(10), 0.001, 0.05, int16(6), uint16(2000), uint64(1))
 	f.Add(int16(0), -1.0, 2.0, int16(0), uint16(0), uint64(0))
 	f.Add(int16(300), math.NaN(), math.Inf(-1), int16(40), uint16(65535), uint64(42))
+	f.Add(int16(40), 0.01, 0.04, int16(8), uint16(3000), uint64(7))
 	f.Fuzz(func(t *testing.T, n int16, sharedLoss, fanoutLoss float64, layers int16, packets uint16, seed uint64) {
-		cfg, err := Star(int(n), sharedLoss, fanoutLoss,
-			SessionConfig{Protocol: protocol.Deterministic, Layers: int(layers)}, int(packets), seed)
+		sc := SessionConfig{Protocol: protocol.Kinds()[seed%3], Layers: int(layers)}
+		cfg, err := Star(int(n), sharedLoss, fanoutLoss, sc, int(packets), seed)
 		if err != nil {
 			return
 		}
+		cfg.LeaveLatency = float64(seed / 3 % 5)
 		res, err := Run(cfg)
 		if err != nil {
 			return
 		}
-		if res.PacketsSent != cfg.Packets {
-			t.Fatalf("sent %d, budget %d", res.PacketsSent, cfg.Packets)
-		}
+		checkInvariants(t, cfg, res)
 	})
 }
 

@@ -88,6 +88,20 @@
 //     their child edges counting-sorted by descending subtree level so
 //     forwarding enumerates exactly the children that still want the
 //     layer; narrow nodes scan a dense per-edge mirror instead.
+//   - A star's hub is crossed in one pass. A wide node whose children
+//     are all single-receiver leaves over Perfect or plain Bernoulli
+//     links (a leaf hub) has its eligible leaves crossed by one tight
+//     loop (crossHub) instead of one stack push, pop and descent each:
+//     the loop counts every crossing, delivery and countdown step that
+//     draws no randomness and moves no level, and hands the leaves due
+//     a loss-gap refill, a drop or a join back to the walk, in the order
+//     the walk would have crossed them, so every RNG draw keeps its
+//     place.
+//   - Under a leave latency, the windows during which an edge keeps
+//     carrying a layer its subtree abandoned sit in per-(node, layer)
+//     lists in closing order, so a packet arriving at a node counts the
+//     lingering crossings of the open windows alone, instead of scanning
+//     every child.
 //   - Per-link fluid demand for Capacity links is maintained
 //     incrementally as subscriptions move (exact for the power-of-two
 //     exponential scheme), so admission is O(1); congestion
@@ -109,6 +123,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 
 	"mlfair/internal/layering"
 	"mlfair/internal/netmodel"
@@ -542,7 +557,9 @@ type hotEdge struct {
 	gtOff          int32 // child << rowShift: child's row in gt
 	// meta packs the admission class (ek*, low bits under metaKindMask)
 	// with the metaWide flag: whether the entered child is a wide node,
-	// hoisted here so the descent never loads the node-indexed wide[].
+	// hoisted here so the descent never loads the node-indexed wide[];
+	// metaHub adds whether it is a leaf hub, and metaCut marks a cut
+	// edge.
 	meta uint32
 }
 
@@ -555,6 +572,10 @@ const (
 	// edge also carries metaWide and an empty receiver block
 	// (recvHi == recvLo), so the walk's common path never tests metaCut.
 	metaCut uint32 = 1 << 4
+	// metaHub marks an edge whose entered child is a leaf hub (see
+	// markLeafHubs); it implies metaWide, so only the wide branch tests
+	// it, after metaCut.
+	metaHub uint32 = 1 << 5
 )
 
 // coldEdge is the accounting half of a tree edge: fields the walk
@@ -612,7 +633,9 @@ const (
 // wanting layer l are exactly order[start : start+gt[nd][l]] —
 // forwarding is output-sensitive. A child moving between adjacent
 // levels is one swap plus one boundary bump. Narrow nodes skip all of
-// this and scan edgeSub directly.
+// this and scan edgeSub directly. A wide node whose children are all
+// single-receiver leaves over Perfect or plain Bernoulli links (a leaf
+// hub, the star's) has that prefix crossed in one pass (crossHub).
 type sessState struct {
 	idx    int
 	cfg    SessionConfig
@@ -664,6 +687,9 @@ type sessState struct {
 	order   []int32 // per-node permutation of edge ids, desc by subMax
 	pos     []int32 // [edge id] position in order
 	gt      []int32 // [(node<<rowShift)+v] children with subMax > v
+	// rootHub marks the sender as a leaf hub; every other hub is marked
+	// by metaHub on the edge entering it (markLeafHubs).
+	rootHub bool
 
 	// Receiver placement CSR: receivers hosted at node nd are
 	// recvList[recvStart[nd]:recvStart[nd+1]].
@@ -733,10 +759,20 @@ type sessState struct {
 
 	// linger[(eid<<rowShift)+l] is the instant until which edge eid
 	// keeps carrying layer l after its subtree abandoned it (nil unless
-	// Config.LeaveLatency > 0). Sessions with linger enabled route
-	// through forwardLinger, which checks these rows for unsubscribed
-	// edges.
-	linger []float64
+	// Config.LeaveLatency > 0; sessions with linger route through
+	// forwardLinger). The windows open below node nd for layer l form a
+	// circular doubly linked list over lingerNext/lingerPrev: entry
+	// (eid<<rowShift)+l for edge eid, headed by the sentinel
+	// len(linger)+(nd<<rowShift)+l. An entry is linked when its edge
+	// abandons the layer and unlinked when the edge subscribes to it
+	// again; an unlinked entry points at itself. Every window lasts
+	// LeaveLatency and time never runs backwards, so a list is in
+	// opening order, which is closing order: an arrival of the layer at
+	// nd unlinks the closed windows from the head and counts one
+	// crossing per entry left (pushEligibleLinger).
+	linger     []float64
+	lingerNext []int32
+	lingerPrev []int32
 
 	subMax []int32 // [node] max contribution level in the subtree
 	// lvlCnt[(node<<rowShift)+v] counts contributions at level v
@@ -1092,6 +1128,9 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		if bitmaps {
 			n32 += nR // slotOf
 		}
+		if cfg.LeaveLatency > 0 {
+			n32 += 2 * ((nEdges + treeN) << s.rowShift) // lingerNext, lingerPrev
+		}
 		n64 := nR + 2*nEdges
 		if shared {
 			n64 += rowLen // got
@@ -1148,6 +1187,11 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		s.fluidT = takeF(nEdges)
 		if cfg.LeaveLatency > 0 {
 			s.linger = takeF(nEdges << s.rowShift)
+			s.lingerNext = take32((nEdges + treeN) << s.rowShift)
+			s.lingerPrev = take32((nEdges + treeN) << s.rowShift)
+			for i := range s.lingerNext {
+				s.lingerNext[i], s.lingerPrev[i] = int32(i), int32(i)
+			}
 		}
 		s.wide = takeB(treeN)
 		s.solo = takeB(treeN)
@@ -1343,7 +1387,48 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	if cfg.Shards > 0 && len(e.sess) == 1 {
 		e.part = newTreePartition(e, &e.sess[0], seed)
 	}
+	for i := range e.sess {
+		e.sess[i].markLeafHubs()
+	}
 	return e, nil
+}
+
+// markLeafHubs marks the session's leaf hubs, once cut edges are known:
+// wide nodes each of whose child edges enters a childless node hosting
+// exactly one receiver, over a Perfect or plain Bernoulli link (no
+// per-layer loss table), and is no cut edge. Selection reads the tree
+// alone: fan-out, link kinds and receivers per node.
+func (s *sessState) markLeafHubs() {
+	for nd := range int32(len(s.wide)) {
+		if !s.wide[nd] {
+			continue
+		}
+		hub := true
+		for _, ed := range s.hot[s.edgeStart[nd]:s.edgeStart[nd+1]] {
+			kind := int8(ed.meta & metaKindMask)
+			if kind != ekAlways && kind != ekBernoulli || ed.meta&metaCut != 0 ||
+				ed.edgeHi > ed.edgeLo || ed.recvHi-ed.recvLo != 1 {
+				hub = false
+				break
+			}
+		}
+		if !hub {
+			continue
+		}
+		if nd == 0 {
+			s.rootHub = true
+		} else {
+			s.hot[s.parentEdge[nd]].meta |= metaHub
+		}
+	}
+}
+
+// isHub reports whether node nd is a leaf hub.
+func (s *sessState) isHub(nd int32) bool {
+	if nd == 0 {
+		return s.rootHub
+	}
+	return s.hot[s.parentEdge[nd]].meta&metaHub != 0
 }
 
 func (e *engine) push(ev event) {
@@ -1489,22 +1574,44 @@ func (e *engine) propagateFrom(s *sessState, w *walker, nd, a, b int32) {
 		if e.trackDemand {
 			e.capDem[s.hot[eid].capIdx].dem += s.cum[nm] - s.cum[om]
 		}
-		if s.linger != nil && nm < om {
-			// Layers nm..om-1 just lost their last subscriber below this
-			// edge; the link keeps carrying them until now + latency.
-			until := e.now + e.leaveLatency
-			row := eid << s.rowShift
-			for v := nm; v < om; v++ {
-				s.linger[row+v] = until
-			}
-		}
 		p := s.parent[nd]
+		if s.linger != nil {
+			s.moveLinger(eid, p, om, nm, e.now+e.leaveLatency)
+		}
 		if s.wide[p] {
 			s.reorder(eid, p, om, nm)
 		}
 		a, b = om, nm
 		nd = p
 	}
+}
+
+// moveLinger updates edge eid's linger windows below its parent p as
+// the edge's subtree maximum moves from om to nm. Layers nm..om-1 just
+// lost their last subscriber below the edge: the link keeps carrying
+// them until the given instant, so their windows join the tail of p's
+// lists. Layers om..nm-1 are subscribed again, so their windows close.
+func (s *sessState) moveLinger(eid, p, om, nm int32, until float64) {
+	row := eid << s.rowShift
+	head := int32(len(s.linger)) + p<<s.rowShift
+	for v := nm; v < om; v++ {
+		i, h := row+v, head+v
+		s.linger[i] = until
+		tail := s.lingerPrev[h]
+		s.lingerNext[tail], s.lingerPrev[i] = i, tail
+		s.lingerNext[i], s.lingerPrev[h] = h, i
+	}
+	for v := om; v < nm; v++ {
+		s.unlinkLinger(row + v)
+	}
+}
+
+// unlinkLinger takes entry i out of its linger list; an entry already
+// unlinked points at itself, so this is then a no-op.
+func (s *sessState) unlinkLinger(i int32) {
+	n, p := s.lingerNext[i], s.lingerPrev[i]
+	s.lingerNext[p], s.lingerPrev[n] = n, p
+	s.lingerNext[i], s.lingerPrev[i] = i, i
 }
 
 // armReceiver re-arms receiver k's join logic at level lv — the engine
@@ -1719,20 +1826,27 @@ func (e *engine) deliverAt(s *sessState, w *walker, layer, node int32, countJoin
 func (e *engine) forward(s *sessState, w *walker, layer, node int32, t float64) {
 	countJoins := s.cfg.Protocol != protocol.Coordinated
 	// Entry node: deliver to its receivers, then seed the walk with its
-	// eligible children. An entry node hosting no receivers (the sender,
-	// on every committed topology) skips the call.
+	// eligible children, here for all three walks. An entry node hosting
+	// no receivers (the sender, on every committed topology) skips the
+	// call; an entry leaf hub (a DropTail continuation into a star's
+	// hub) has its leaves crossed by crossHub.
 	if s.recvStart[node+1] > s.recvStart[node] {
 		e.deliverAt(s, w, layer, node, countJoins)
 	}
+	var st []int32
+	if s.wide[node] && s.isHub(node) {
+		st = s.crossHub(w.stack[:0], s.edgeStart[node], s.gt[(node<<s.rowShift)+layer], countJoins)
+	} else {
+		st = s.pushEligible(w.stack[:0], node, layer)
+	}
 	if s.lossOnly {
-		e.forwardLossOnly(s, w, layer, node, countJoins)
+		e.forwardLossOnly(s, w, st, layer, countJoins)
 		return
 	}
 	if s.capOnly {
-		e.forwardCapOnly(s, w, layer, node, countJoins)
+		e.forwardCapOnly(s, w, st, layer, countJoins)
 		return
 	}
-	st := s.pushEligible(w.stack[:0], node, layer)
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1809,7 +1923,12 @@ func (e *engine) forward(s *sessState, w *walker, layer, node int32, t float64) 
 				e.part.arrive(ed.gtOff >> s.rowShift)
 				continue
 			}
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
+			cn := s.gt[ed.gtOff+layer]
+			if ed.meta&metaHub != 0 {
+				st = s.crossHub(st, ed.edgeLo, cn, countJoins)
+				continue
+			}
+			if cn > 0 {
 				cb := ed.edgeLo
 				for p := cn - 1; p >= 1; p-- {
 					st = append(st, s.order[cb+p])
@@ -1836,11 +1955,11 @@ func (e *engine) forward(s *sessState, w *walker, layer, node int32, t float64) 
 	w.stack = st[:0]
 }
 
-// pushEligible seeds a walk at node nd: it pushes the children that
-// want the layer in reverse of the order the walk visits them (wide
-// nodes: the counting-sorted bucket prefix; narrow nodes: dense edge
-// order), so they pop in that order. It runs once per packet and is
-// small enough for the compiler to inline.
+// pushEligible pushes the children of node nd that want the layer in
+// reverse of the order the walk visits them (wide nodes: the
+// counting-sorted bucket prefix; narrow nodes: dense edge order), so
+// they pop in that order. It is small enough for the compiler to
+// inline.
 func (s *sessState) pushEligible(st []int32, nd, layer int32) []int32 {
 	lo := s.edgeStart[nd]
 	if s.wide[nd] {
@@ -1857,13 +1976,49 @@ func (s *sessState) pushEligible(st []int32, nd, layer int32) []int32 {
 	return st
 }
 
-// forwardLossOnly is forward's walk for sessions whose tree carries
-// only instant loss links (Perfect / Bernoulli) — the paper's Section 4
-// setting and the common large-topology scenario — with the admission
-// switch compiled out: an edge either always admits or runs the
-// geometric gap counter. Behavior is identical to the generic walk.
-func (e *engine) forwardLossOnly(s *sessState, w *walker, layer, node int32, countJoins bool) {
-	st := s.pushEligible(w.stack[:0], node, layer)
+// crossHub crosses a leaf hub's eligible leaves, order[lo:lo+cn], in
+// one pass. A leaf whose crossing draws no randomness and moves no
+// level is settled in place: its crossing, its receiver's delivery
+// (every eligible leaf's receiver is above the layer) and, under a
+// countdown protocol, one countdown step. A leaf is deferred instead
+// when its loss gap is due a refill (0) or a drop (1), or when its
+// countdown runs out on this packet: crossHub pushes the deferred
+// leaves onto st so they pop in pass order, and the walk crosses each
+// with its ordinary leaf step. The pass itself moves no level, so the
+// block it reads stays put, and the deferred leaves' draws, drops and
+// joins run in the order the per-leaf walk would run them; the settled
+// leaves share no state with them. The deferred leaves are edges the
+// stack does not yet hold, so it stays within its reserved capacity.
+func (s *sessState) crossHub(st []int32, lo, cn int32, countJoins bool) []int32 {
+	base := len(st)
+	for _, eid := range s.order[lo : lo+cn] {
+		ed := &s.hot[eid]
+		k := s.recvList[ed.recvLo]
+		lossy := ed.meta&metaKindMask != 0
+		if lossy && s.lossGap[eid] <= 1 || countJoins && s.countdown[k] <= 1 {
+			st = append(st, eid)
+			continue
+		}
+		if lossy {
+			s.lossGap[eid]--
+		}
+		if countJoins {
+			s.countdown[k]--
+		}
+		s.crossed[eid]++
+		s.received[k]++
+	}
+	slices.Reverse(st[base:])
+	return st
+}
+
+// forwardLossOnly is forward's walk, from the stack forward seeded, for
+// sessions whose tree carries only instant loss links (Perfect /
+// Bernoulli) — the paper's Section 4 setting and the common
+// large-topology scenario — with the admission switch compiled out: an
+// edge either always admits or runs the geometric gap counter.
+// Behavior is identical to the generic walk.
+func (e *engine) forwardLossOnly(s *sessState, w *walker, st []int32, layer int32, countJoins bool) {
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1902,7 +2057,12 @@ func (e *engine) forwardLossOnly(s *sessState, w *walker, layer, node int32, cou
 				e.part.arrive(ed.gtOff >> s.rowShift)
 				continue
 			}
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
+			cn := s.gt[ed.gtOff+layer]
+			if ed.meta&metaHub != 0 {
+				st = s.crossHub(st, ed.edgeLo, cn, countJoins)
+				continue
+			}
+			if cn > 0 {
 				cb := ed.edgeLo
 				for p := cn - 1; p >= 1; p-- {
 					st = append(st, s.order[cb+p])
@@ -1929,14 +2089,13 @@ func (e *engine) forwardLossOnly(s *sessState, w *walker, layer, node int32, cou
 	w.stack = st[:0]
 }
 
-// forwardCapOnly is forward's walk for sessions whose tree carries
-// only Perfect and capacity-coupled links — the irregular-topology
-// (ScaleFree / FatTree) benchmark shape — with the admission switch
-// narrowed to one branch: an edge either always admits or runs the
-// fluid-overload coin against its packed capDem row. Behavior is
-// identical to the generic walk.
-func (e *engine) forwardCapOnly(s *sessState, w *walker, layer, node int32, countJoins bool) {
-	st := s.pushEligible(w.stack[:0], node, layer)
+// forwardCapOnly is forward's walk, from the stack forward seeded, for
+// sessions whose tree carries only Perfect and capacity-coupled links
+// — the irregular-topology (ScaleFree / FatTree) benchmark shape — with
+// the admission switch narrowed to one branch: an edge either always
+// admits or runs the fluid-overload coin against its packed capDem
+// row. Behavior is identical to the generic walk.
+func (e *engine) forwardCapOnly(s *sessState, w *walker, st []int32, layer int32, countJoins bool) {
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1962,7 +2121,12 @@ func (e *engine) forwardCapOnly(s *sessState, w *walker, layer, node int32, coun
 				e.part.arrive(ed.gtOff >> s.rowShift)
 				continue
 			}
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
+			cn := s.gt[ed.gtOff+layer]
+			if ed.meta&metaHub != 0 {
+				st = s.crossHub(st, ed.edgeLo, cn, countJoins)
+				continue
+			}
+			if cn > 0 {
 				cb := ed.edgeLo
 				for p := cn - 1; p >= 1; p-- {
 					st = append(st, s.order[cb+p])
@@ -2002,33 +2166,33 @@ func (e *engine) dispatch(s *sessState, layer, node int32, t float64) {
 	e.forward(s, &e.walk, layer, node, t)
 }
 
-// pushEligibleLinger seeds/extends the linger walk at node nd: it
-// pushes nd's subscribed children exactly as pushEligible does (copied,
-// not called: it runs once per hop, where a second call costs ~10% on
-// leave-latency sweeps), so the DFS order of subscribed-edge crossings
-// — and hence every RNG draw — is identical to the plain walk's.
-// Unsubscribed children inside an open linger window count a crossing
-// inline: they deliver nothing and draw no randomness, so their
-// position in the iteration is immaterial.
-func (s *sessState) pushEligibleLinger(st []int32, nd, layer int32, t float64) []int32 {
-	lo, hi := s.edgeStart[nd], s.edgeStart[nd+1]
-	if s.wide[nd] {
-		for p := s.gt[(nd<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[lo+p])
-		}
-	} else {
-		for ceid := hi - 1; ceid >= lo; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
+// pushEligibleLinger seeds/extends the linger walk at node nd. It first
+// counts a crossing on each edge whose window for the layer is still
+// open at t, read from nd's list for the layer after unlinking the
+// windows that have closed (they sit at its head). Then it seeds nd's
+// subscribed children exactly as forward does (a leaf hub's through
+// crossHub, any other node's through pushEligible), so the DFS order of
+// subscribed-edge crossings, and hence every RNG draw, is identical to
+// the plain walk's. Lingering crossings deliver nothing and draw no
+// randomness. They are counted before any child is crossed, so a leaf
+// that drops this packet opens its window after the packet has passed
+// its parent. It runs once per hop and is written out whole: a nested
+// call per hop costs the leave-latency sweeps ~10%.
+func (s *sessState) pushEligibleLinger(st []int32, nd, layer int32, t float64, countJoins bool) []int32 {
+	h := int32(len(s.linger)) + nd<<s.rowShift + layer
+	i := s.lingerNext[h]
+	for i != h && s.linger[i] <= t {
+		next := s.lingerNext[i]
+		s.unlinkLinger(i)
+		i = next
 	}
-	for ceid := lo; ceid < hi; ceid++ {
-		if s.edgeSub[ceid] <= layer && s.linger[(ceid<<s.rowShift)+layer] > t {
-			s.crossed[ceid]++ // a leave still being processed wastes the link
-		}
+	for ; i != h; i = s.lingerNext[i] {
+		s.crossed[i>>s.rowShift]++ // a leave still being processed wastes the link
 	}
-	return st
+	if s.wide[nd] && s.isHub(nd) {
+		return s.crossHub(st, s.edgeStart[nd], s.gt[(nd<<s.rowShift)+layer], countJoins)
+	}
+	return s.pushEligible(st, nd, layer)
 }
 
 // forwardLinger is the walk for sessions with LeaveLatency > 0: besides
@@ -2037,14 +2201,15 @@ func (s *sessState) pushEligibleLinger(st []int32, nd, layer int32, t float64) [
 // window is open — consuming bandwidth, delivering nothing, observing
 // no losses, and drawing no randomness. Subscribed edges are visited in
 // forward's exact DFS order (see pushEligibleLinger), so receiver
-// dynamics are identical to the latency-0 run at equal seed. Linger
-// trees are never partitioned, so no edge here is a cut edge.
+// dynamics are identical to the latency-0 run at equal seed; a
+// childless node has neither children nor windows, and is not expanded.
+// Linger trees are never partitioned, so no edge here is a cut edge.
 func (e *engine) forwardLinger(s *sessState, w *walker, layer, node int32, t float64) {
 	countJoins := s.cfg.Protocol != protocol.Coordinated
 	if s.recvStart[node+1] > s.recvStart[node] {
 		e.deliverAt(s, w, layer, node, countJoins)
 	}
-	st := s.pushEligibleLinger(w.stack[:0], node, layer, t)
+	st := s.pushEligibleLinger(w.stack[:0], node, layer, t, countJoins)
 	for len(st) > 0 {
 		eid := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -2100,7 +2265,9 @@ func (e *engine) forwardLinger(s *sessState, w *walker, layer, node int32, t flo
 		if ed.recvHi > ed.recvLo && !s.deliverSingle(layer, ed.recvLo, ed.recvHi, countJoins) {
 			e.deliverNode(s, w, layer, ed.gtOff, ed.recvLo, ed.recvHi, countJoins)
 		}
-		st = s.pushEligibleLinger(st, ed.gtOff>>s.rowShift, layer, t)
+		if ed.edgeHi > ed.edgeLo {
+			st = s.pushEligibleLinger(st, ed.gtOff>>s.rowShift, layer, t, countJoins)
+		}
 	}
 	w.stack = st[:0]
 }

@@ -37,9 +37,11 @@ type MemoryPlan struct {
 	// node hosts several receivers, delivery counter rows and, under a
 	// countdown protocol, the level-countdown state: subscription
 	// bitmaps with their slot index, the dueRun and dueMin rows, and a
-	// one-node scratch bitmap. The receivers below an edge are a range
-	// of the pre-order receiver list, so downstream sets cost one int32
-	// per edge. It equals the bytes the engine's session slices hold.
+	// one-node scratch bitmap. Under a leave latency it adds the linger
+	// windows and their per-(node, layer) lists. The receivers below an
+	// edge are a range of the pre-order receiver list, so downstream
+	// sets cost one int32 per edge. It equals the bytes the engine's
+	// session slices hold.
 	SessionBytes int64
 	// FixedBytes is the per-engine state outside any session: capacity
 	// rows, DropTail queue state, loss tables, transmit calendars, the
@@ -204,7 +206,8 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		}
 		nf := 2*L + 1 + 2*nE
 		if cfg.LeaveLatency > 0 {
-			nf += nE << rowShift
+			nf += nE << rowShift                  // linger windows
+			n32 += 2 * ((nE + treeN) << rowShift) // their lists
 		}
 		nb := nR + 2*treeN
 		p.SessionBytes += 4*int64(n32) + 8*int64(n64) + 8*int64(nf) + int64(nb) +

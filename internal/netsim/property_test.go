@@ -74,16 +74,14 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 	if res.PacketsSent != cfg.Packets {
 		t.Fatalf("sent %d, budget %d", res.PacketsSent, cfg.Packets)
 	}
+	crossedOf := make(map[[2]int]int, len(res.Links)) // (link, session)
+	for _, ls := range res.Links {
+		crossedOf[[2]int{ls.Link, ls.Session}] = ls.Crossed
+	}
 	for i := range res.ReceiverPackets {
 		for k, got := range res.ReceiverPackets[i] {
 			for _, j := range cfg.Network.Path(i, k) {
-				crossed := 0
-				for _, ls := range res.Links {
-					if ls.Link == j && ls.Session == i {
-						crossed = ls.Crossed
-					}
-				}
-				if got > crossed {
+				if crossed := crossedOf[[2]int{j, i}]; got > crossed {
 					t.Fatalf("receiver %d,%d delivered %d > %d crossings of path link %d", i, k, got, crossed, j)
 				}
 			}
@@ -143,6 +141,57 @@ func TestEngineInvariants(t *testing.T) {
 		}
 		checkInvariants(t, cfg, res)
 	}
+	for i, cfg := range wideStars(t, n/2) {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("wide star %d: %v", i, err)
+		}
+		checkInvariants(t, cfg, res)
+	}
+}
+
+// wideStars is a seeded set of n modified stars whose hub is wide: 17 to
+// 60 leaves, each Perfect or lossy Bernoulli, every protocol in turn,
+// and churn in half of them. randomConfig's sessions have at most five
+// receivers, so they never reach a wide node. The shared link is of
+// any of the four kinds, so the hub is crossed by each walk variant
+// and, behind a DropTail link, entered from the event queue; one star
+// in four gives a leaf a per-layer loss table.
+func wideStars(t *testing.T, n int) []Config {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(2026, 24))
+	cfgs := make([]Config, n)
+	for i := range cfgs {
+		sc := SessionConfig{Protocol: protocol.Kinds()[i%3], Layers: 2 + rng.IntN(8)}
+		cfg, err := Star(17+rng.IntN(44), 0, 0, sc, 2000+rng.IntN(4000), rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j < len(cfg.Links); j++ {
+			if rng.IntN(2) == 0 {
+				cfg.Links[j] = LinkSpec{Kind: Bernoulli, Loss: rng.Float64() * 0.1}
+			}
+		}
+		if rng.IntN(4) == 0 {
+			cfg.Links[1+rng.IntN(len(cfg.Links)-1)] = LinkSpec{Kind: Bernoulli, LayerLoss: []float64{0.01, 0.05}}
+		}
+		switch rng.IntN(4) {
+		case 0:
+			cfg.Links[0] = LinkSpec{} // Perfect
+		case 1:
+			cfg.Links[0] = LinkSpec{Kind: Bernoulli, Loss: rng.Float64() * 0.02}
+		case 2:
+			cfg.Links[0] = LinkSpec{Kind: Capacity, Capacity: 4 + rng.Float64()*60}
+		case 3:
+			cfg.Links[0] = LinkSpec{Kind: DropTail, Capacity: 4 + rng.Float64()*60,
+				Buffer: rng.IntN(12), Delay: rng.Float64() * 0.05}
+		}
+		if rng.IntN(2) == 0 {
+			cfg.Churn = UniformChurn(cfg.Network, 1+rng.Float64()*4, 1+rng.Float64()*4, 60)
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs
 }
 
 // TestLingerKeepsDynamics pins the LeaveLatency contract under every
@@ -151,17 +200,22 @@ func TestEngineInvariants(t *testing.T) {
 // latency L > 0 keeps the L = 0 run's receiver dynamics and every
 // link's drops and fluid usage exactly, and no link's crossings fall.
 // randomConfig draws all four link kinds, so DropTail continuations
-// enter linger sessions mid-tree. L derives from each config's seed, so
-// the generator's draws stay those of TestEngineInvariants.
+// enter linger sessions mid-tree; the wide stars add hubs whose leaves
+// linger. L derives from each config's seed, so the generators' draws
+// stay those of TestEngineInvariants.
 func TestLingerKeepsDynamics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 7))
 	n := 40
 	if testing.Short() {
 		n = 8
 	}
+	cfgs := make([]Config, n)
+	for trial := range cfgs {
+		cfgs[trial] = randomConfig(rng)
+	}
+	cfgs = append(cfgs, wideStars(t, n/2)...)
 	lingered := 0
-	for trial := 0; trial < n; trial++ {
-		cfg := randomConfig(rng)
+	for trial, cfg := range cfgs {
 		base, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -200,7 +254,7 @@ func TestLingerKeepsDynamics(t *testing.T) {
 	if lingered == 0 {
 		t.Fatal("no link ever carried a lingering crossing: the property checked nothing")
 	}
-	t.Logf("%d links carried lingering crossings over %d configs", lingered, n)
+	t.Logf("%d links carried lingering crossings over %d configs", lingered, len(cfgs))
 }
 
 // TestSubscriptionLevelsWithinBounds: on a churn-free run every

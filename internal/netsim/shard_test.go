@@ -351,13 +351,18 @@ func TestPlanMemoryAccounting(t *testing.T) {
 // the engine's sessions hold — the capacity of every slice field of
 // every sessState times its element size, summed by reflection so that
 // a new field is counted without editing this test — on stars, on nodes
-// hosting 100 receivers under each protocol, and on a tree cut at its
-// access links.
+// hosting 100 receivers under each protocol, both with and without a
+// leave latency, and on a tree cut at its access links.
 func TestPlanMemoryMatchesEngine(t *testing.T) {
 	cfgs := map[string]Config{}
 	for _, kind := range protocol.Kinds() {
 		cfgs["star/"+kind.String()] = starCfg(t, 20, 0.0001, 0.04, kind, 400, 1)
 		cfgs["pop100/"+kind.String()] = pop100Cfg(t, kind, 1)
+		for _, name := range []string{"star/", "pop100/"} {
+			cfg := cfgs[name+kind.String()]
+			cfg.LeaveLatency = 2
+			cfgs[name+"linger/"+kind.String()] = cfg
+		}
 	}
 	cut := pop100Cfg(t, protocol.Uncoordinated, 1)
 	cut.Shards = 2

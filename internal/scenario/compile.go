@@ -167,6 +167,12 @@ func (s *Spec) buildTopology() (*netmodel.Network, bool, error) {
 			if nd < 0 || nd >= n {
 				return nil, false, fmt.Errorf("scenario: tree receiver node %d out of range [0, %d)", nd, n)
 			}
+			if nd == 0 {
+				// An empty data-path: the simulation would count it as a
+				// loss-free receiver, and the max-min benchmark finds its
+				// allocation unbounded.
+				return nil, false, fmt.Errorf("scenario: tree receiver node 0 is the sender's node")
+			}
 		}
 		g := netmodel.NewGraph(n)
 		for i := 1; i < n; i++ {

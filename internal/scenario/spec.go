@@ -129,8 +129,8 @@ type TopologySpec struct {
 
 	// tree: explicit rooted tree in topological numbering — node 0 is
 	// the sender, Parent[i] < i is node i's parent (Parent[0] ignored),
-	// ReceiverNodes the receiver placements; node i's parent link is
-	// link i-1.
+	// ReceiverNodes the receiver placements, in [1, len(Parent)); node
+	// i's parent link is link i-1.
 	Parent        []int `json:"parent,omitempty"`
 	ReceiverNodes []int `json:"receiverNodes,omitempty"`
 

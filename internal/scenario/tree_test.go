@@ -116,6 +116,7 @@ func TestTreeSpecRejects(t *testing.T) {
 		{"no receivers", treeSpec([]int{0, 0}, nil, 0)},
 		{"receiver out of range", treeSpec([]int{0, 0, 1}, []int{5}, 0)},
 		{"negative receiver node", treeSpec([]int{0, 0, 1}, []int{-1}, 0)},
+		{"receiver at the sender", treeSpec([]int{0, 0, 1}, []int{0, 2}, 0)},
 		{"capacity count", &Spec{
 			Topology: TopologySpec{Kind: "tree", Parent: []int{0, 0}, ReceiverNodes: []int{1}, Capacities: []float64{1}},
 			Packets:  100,
