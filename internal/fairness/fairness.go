@@ -62,7 +62,7 @@ func ReceiverFullyUtilizedFair(a *netmodel.Allocation, id netmodel.ReceiverID) (
 		}
 		ok := true
 		for _, sr := range net.OnLink(j) {
-			for _, k := range sr.Receivers {
+			for k := range sr.All() {
 				if netmodel.Greater(a.Rate(sr.Session, k), rate) {
 					ok = false
 					break

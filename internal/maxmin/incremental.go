@@ -120,12 +120,13 @@ func NewIncremental(net *netmodel.Network) (*Incremental, error) {
 		for si, sr := range net.OnLink(j) {
 			s := int(inc.slotStart[j]) + si
 			inc.slotSess[s] = int32(sr.Session)
-			inc.slotRecvStart[s+1] = inc.slotRecvStart[s] + int32(len(sr.Receivers))
-			inc.slotActive[s] = int32(len(sr.Receivers))
-			for _, k := range sr.Receivers {
+			c := sr.Len()
+			inc.slotRecvStart[s+1] = inc.slotRecvStart[s] + int32(c)
+			inc.slotActive[s] = int32(c)
+			for k := range sr.All() {
 				recvCount[inc.rid(sr.Session, k)]++
 			}
-			total += len(sr.Receivers)
+			total += c
 		}
 	}
 	inc.slotRecv = make([]int32, total)
@@ -138,12 +139,13 @@ func NewIncremental(net *netmodel.Network) (*Incremental, error) {
 	for j := 0; j < nl; j++ {
 		for si, sr := range net.OnLink(j) {
 			s := int(inc.slotStart[j]) + si
-			base := inc.slotRecvStart[s]
-			for x, k := range sr.Receivers {
+			x := inc.slotRecvStart[s]
+			for k := range sr.All() {
 				r := inc.rid(sr.Session, k)
-				inc.slotRecv[int(base)+x] = int32(r)
+				inc.slotRecv[x] = int32(r)
 				inc.recvSlots[fill[r]] = int32(s)
 				fill[r]++
+				x++
 			}
 		}
 	}

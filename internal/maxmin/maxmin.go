@@ -194,7 +194,7 @@ func (f *filler) closedFormStep(t float64) (float64, error) {
 		for _, sr := range f.net.OnLink(j) {
 			hasActive := false
 			frozenMax := 0.0
-			for _, k := range sr.Receivers {
+			for k := range sr.All() {
 				if f.active[netmodel.ReceiverID{Session: sr.Session, Receiver: k}] {
 					hasActive = true
 				} else if r := f.alloc.Rate(sr.Session, k); r > frozenMax {
@@ -265,7 +265,7 @@ func (f *filler) bisectStep(kappaBound float64) (float64, error) {
 func (f *filler) maxActiveWeight(j int) float64 {
 	w := 0.0
 	for _, sr := range f.net.OnLink(j) {
-		for _, k := range sr.Receivers {
+		for k := range sr.All() {
 			if f.active[netmodel.ReceiverID{Session: sr.Session, Receiver: k}] {
 				if x := f.weight(sr.Session, k); x > w {
 					w = x
@@ -293,7 +293,7 @@ func (f *filler) feasibleAt(t float64) bool {
 
 func (f *filler) sessionLinkRateAt(sr netmodel.SessionReceivers, t float64) float64 {
 	f.rateBuf = f.rateBuf[:0]
-	for _, k := range sr.Receivers {
+	for k := range sr.All() {
 		r := f.alloc.Rate(sr.Session, k)
 		if f.active[netmodel.ReceiverID{Session: sr.Session, Receiver: k}] {
 			r = f.weight(sr.Session, k) * (f.level + t)

@@ -79,9 +79,9 @@ func (a *Allocation) SessionLinkRate(i, j int) float64 {
 }
 
 func (a *Allocation) sessionLinkRate(sr SessionReceivers) float64 {
-	rs := make([]float64, len(sr.Receivers))
-	for x, k := range sr.Receivers {
-		rs[x] = a.rates[sr.Session][k]
+	rs := make([]float64, 0, sr.Len())
+	for _, r := range sr.Ranges {
+		rs = append(rs, a.rates[sr.Session][r.Lo:r.Hi]...)
 	}
 	return a.net.Session(sr.Session).EffectiveLinkRate(rs)
 }

@@ -29,6 +29,16 @@
 //     abstract form used throughout the paper's proofs: only the sets
 //     R_{i,j} and capacities matter for fairness analysis.
 //
+// A Network stores data-paths run-length encoded. A run is a block of
+// consecutive receivers of one session at the same host whose paths
+// were handed in as the same slice (see Network.PathRun); it keeps one
+// path per run and one run index per receiver. Each R_{i,j} is a list
+// of ascending, disjoint, maximal receiver-index ranges
+// (SessionReceivers), built run by run. A generator that parks many
+// receivers behind one access point and aliases their path
+// (topology.Planetary) therefore costs a few bytes per receiver, and
+// every pass over data-paths costs O(runs × depth).
+//
 // All floating-point comparisons in this module tree go through the
 // tolerance helpers in this package (Eq, Leq, Less) so that every package
 // agrees on what "fully utilized" means.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -31,11 +32,11 @@ func TestNetworkIncidence(t *testing.T) {
 		t.Fatalf("R_1 size = %d, want 1", n.ReceiversCrossing(1))
 	}
 	on0 := n.OnLink(0)
-	if len(on0) != 1 || on0[0].Session != 0 || len(on0[0].Receivers) != 2 {
+	if len(on0) != 1 || on0[0].Session != 0 || fmt.Sprint(on0[0].Ranges) != "[[0,2)]" {
 		t.Fatalf("OnLink(0) = %+v", on0)
 	}
 	on1 := n.OnLink(1)
-	if len(on1) != 1 || len(on1[0].Receivers) != 1 || on1[0].Receivers[0] != 1 {
+	if len(on1) != 1 || fmt.Sprint(on1[0].Ranges) != "[[1,2)]" {
 		t.Fatalf("OnLink(1) = %+v", on1)
 	}
 }
@@ -373,7 +374,8 @@ func TestMultiSenderWalkValidation(t *testing.T) {
 // equal contents but different backing arrays, or another host, break
 // the run. The incidence is the same as with every path copied,
 // including a link repeated within one abstract path, which still
-// lists each receiver once.
+// lists each receiver once: R_{0,0} = {0 1 2 4 5} is [0,3) [4,6) in
+// both.
 func TestPathRunIndex(t *testing.T) {
 	g := NewGraph(7)
 	for j := 0; j < 3; j++ {
@@ -407,7 +409,10 @@ func TestPathRunIndex(t *testing.T) {
 				n.OnLink(j), n.ReceiversCrossing(j), c.OnLink(j), c.ReceiversCrossing(j))
 		}
 	}
-	if got := n.OnLink(0)[0].Receivers; fmt.Sprint(got) != "[0 1 2 4 5]" {
+	if got := n.OnLink(0)[0].Ranges; fmt.Sprint(got) != "[[0,3) [4,6)]" {
+		t.Fatalf("OnLink(0) ranges = %v, want [[0,3) [4,6)]", got)
+	}
+	if got := slices.Collect(n.OnLink(0)[0].All()); fmt.Sprint(got) != "[0 1 2 4 5]" {
 		t.Fatalf("OnLink(0) receivers = %v, want [0 1 2 4 5]", got)
 	}
 }

@@ -139,7 +139,7 @@ func TestQuickSessionLinkRateDominatesReceivers(t *testing.T) {
 		for j := 0; j < net.NumLinks(); j++ {
 			u := a.SessionLinkRate(0, j)
 			for _, sr := range net.OnLink(j) {
-				for _, k := range sr.Receivers {
+				for k := range sr.All() {
 					if Greater(a.Rate(0, k), u) {
 						return false
 					}

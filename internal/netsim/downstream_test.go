@@ -133,7 +133,7 @@ func TestDownstreamMatchesOnLink(t *testing.T) {
 				var want []int
 				for _, sr := range net.OnLink(int(s.hot[eid].link)) {
 					if sr.Session == i {
-						want = sr.Receivers
+						want = slices.Collect(sr.All())
 					}
 				}
 				set := make([]int, len(got))
@@ -173,11 +173,11 @@ func TestRedundancyMatchesOnLinkReference(t *testing.T) {
 					}
 					ls := res.Links[at]
 					at++
-					if ls.Link != j || ls.Session != sr.Session || ls.DownstreamReceivers != len(sr.Receivers) {
+					if ls.Link != j || ls.Session != sr.Session || ls.DownstreamReceivers != sr.Len() {
 						t.Fatalf("%s Shards=%d: LinkStats %+v out of OnLink order at link %d session %d", tc.name, shards, ls, j, sr.Session)
 					}
 					best := 0.0
-					for _, k := range sr.Receivers {
+					for k := range sr.All() {
 						best = max(best, res.ReceiverRates[sr.Session][k])
 					}
 					want := 0.0

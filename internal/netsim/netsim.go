@@ -2519,7 +2519,7 @@ func foldLinkStats(net *netmodel.Network, engines []*engine, now float64, rates 
 				Crossed:             crossed[at],
 				Dropped:             dropped[at],
 				FluidRate:           fluid[at],
-				DownstreamReceivers: len(sr.Receivers),
+				DownstreamReceivers: sr.Len(),
 			}
 			if now > 0 {
 				ls.Rate = float64(ls.Crossed) / now

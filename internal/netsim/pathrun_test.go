@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -33,8 +34,10 @@ func unaliased(t *testing.T, net *netmodel.Network) *netmodel.Network {
 // TestPathAliasingIsOnlyAShortcut: Planetary aliases one path slice per
 // PoP, and every pass over data-paths walks such a run once. The same
 // network with every path deep-copied takes the per-receiver route
-// through the same code, and must give identical link incidence,
-// memory plans and Results, sequential and sharded with the access cut.
+// through the same code, and must give identical link incidence (the
+// same maximal receiver ranges: PoP 0's access link holds [0,16) either
+// way), memory plans and Results, sequential and sharded with the
+// access cut.
 func TestPathAliasingIsOnlyAShortcut(t *testing.T) {
 	aliased, firstAccess, err := topology.Planetary(rand.New(rand.NewPCG(11, 11)), topology.PlanetaryOptions{
 		Regions: 2, CoreNodes: 12, PoPs: 40, ReceiversPerPoP: 16, CoreCap: 64, AccessCap: 16,
@@ -45,6 +48,9 @@ func TestPathAliasingIsOnlyAShortcut(t *testing.T) {
 	copied := unaliased(t, aliased)
 	if aliased.PathRun(0, 0) != 16 || copied.PathRun(0, 0) != 1 {
 		t.Fatalf("PathRun(0, 0): aliased %d, copied %d; want 16 and 1", aliased.PathRun(0, 0), copied.PathRun(0, 0))
+	}
+	if got := fmt.Sprint(copied.OnLink(firstAccess)); got != "[{0 [[0,16)]}]" {
+		t.Fatalf("OnLink(%d) = %s, want [{0 [[0,16)]}]", firstAccess, got)
 	}
 	for j := 0; j < aliased.NumLinks(); j++ {
 		if !reflect.DeepEqual(aliased.OnLink(j), copied.OnLink(j)) {

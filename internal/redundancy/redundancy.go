@@ -195,7 +195,7 @@ func OfAllocation(a *netmodel.Allocation, i, j int) (float64, bool) {
 		if sr.Session != i {
 			continue
 		}
-		for _, k := range sr.Receivers {
+		for k := range sr.All() {
 			rates = append(rates, a.Rate(i, k))
 		}
 	}

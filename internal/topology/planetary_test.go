@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -186,5 +187,32 @@ func TestPlanetaryPresets(t *testing.T) {
 	}
 	if n := PlanetaryOptions10M().NumReceivers(); n != 10485760 {
 		t.Fatalf("10M preset = %d receivers", n)
+	}
+}
+
+// TestPlanetaryNetworkBytes is the network's memory guard: a
+// 65,536-receiver planetary network (the 1M preset at 128 PoPs per
+// region) must retain at most 24 bytes per receiver once built. The
+// network keeps each receiver's host and run index; paths and the
+// per-link receiver sets are per run, so they cost almost nothing per
+// receiver. A network storing R_{i,j} one int per receiver-hop and a
+// path header per receiver fails it at ~63 B/receiver.
+func TestPlanetaryNetworkBytes(t *testing.T) {
+	o := PlanetaryOptions1M()
+	o.PoPs = 128
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	net, _, err := Planetary(rand.New(rand.NewPCG(5, 5)), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(net)
+	perR := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(o.NumReceivers())
+	t.Logf("network retains %.1f B/receiver at %d receivers", perR, o.NumReceivers())
+	if perR > 24 {
+		t.Fatalf("network retains %.1f B/receiver at %d receivers, want <= 24", perR, o.NumReceivers())
 	}
 }
