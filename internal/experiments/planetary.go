@@ -27,12 +27,11 @@ func planetaryOptions(receivers int) topology.PlanetaryOptions {
 	return o
 }
 
-// NetsimPlanetary is the planetary-scale single-run scenario (ROADMAP
-// item 2 at intra-run scale): one run over Regions link-disjoint
-// regional backbones — capacity-coupled preferential-attachment cores
-// with PoP fan-out and up to 10^7 receivers — executed with
-// session-sharded event loops (Config.Shards) and a memory plan logged
-// up front. Because regions share no link, every region is its own
+// NetsimPlanetary is the planetary-scale single-run scenario: one run
+// over Regions link-disjoint regional backbones — capacity-coupled
+// preferential-attachment cores with PoP fan-out and up to 10^7
+// receivers — executed with session-sharded event loops
+// (Config.Shards) and a memory plan logged up front. Because regions share no link, every region is its own
 // shard group; the Result is invariant in the shard count, so the
 // summary CSV is deterministic in (receivers, packets, trials, seed)
 // regardless of the host's core count.

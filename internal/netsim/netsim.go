@@ -134,7 +134,7 @@ import (
 // thresholds 2^(2(M-1)) overflow int64 beyond 32 layers, and the
 // engine's dyadic transmit calendar needs the layer-period ratios to
 // fit a uint64 tick counter. The paper uses at most 10.
-const MaxLayers = 32
+const MaxLayers = protocol.MaxLevel
 
 // wideFanout is the child count above which a node's edge block is kept
 // counting-sorted for output-sensitive enumeration; at or below it, a
@@ -1635,7 +1635,7 @@ func (e *engine) armCountdown(s *sessState, w *walker, k int, lv int32) {
 	case protocol.Deterministic:
 		c = int64(protocol.JoinThreshold(int(lv)))
 	case protocol.Uncoordinated:
-		c = int64(protocol.SampleGeometric(w.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
+		c = int64(protocol.SampleJoin(w.rng, int(lv)))
 	default:
 		return
 	}

@@ -48,7 +48,8 @@ type MemoryPlan struct {
 	// event arena, and the forwarding stack.
 	FixedBytes int64
 	// ScratchBytes is construction-time scratch (global-id tree
-	// discovery), dead once the engine is built.
+	// discovery), dead once the engine is built. Group engines are
+	// built one at a time, each on its worker, so it counts one copy.
 	ScratchBytes int64
 	// ResultBytes is the result-time fold: per-receiver output arrays,
 	// the dense (session, link) scatter rows, the per-node best-goodput
@@ -259,7 +260,8 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 
 	// Construction scratch: global-id discovery arrays plus the largest
 	// session's child lists and pre-order worklists; sharded runs build
-	// engines sequentially, so one copy is live at a time.
+	// engines one at a time, each on its worker (dispatch), so one copy
+	// is live at a time.
 	p.ScratchBytes = int64(nn)*(4+4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 12*int64(maxTreeN)
 
 	// Result fold: per-receiver outputs, the dense (session, link)

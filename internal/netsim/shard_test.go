@@ -1,10 +1,16 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mlfair/internal/netmodel"
 	"mlfair/internal/protocol"
@@ -289,6 +295,210 @@ func TestShardsRejectMultiGroupPacketProbe(t *testing.T) {
 	cfg.Probe = &ProbeConfig{PacketWindow: 64}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "packet-window probing") {
 		t.Fatalf("multi-group packet-window probe accepted: %v", err)
+	}
+}
+
+// planetaryCfg is the planetary driver's run (cmd/netsim -scenario
+// planetary) at pops PoPs per region: 8 link-disjoint regions of 64
+// receivers per PoP, one session group each, protocols in the paper's
+// order, Capacity core links and the access links as cut frontier.
+func planetaryCfg(t *testing.T, pops, packets int, seed uint64) Config {
+	t.Helper()
+	o := topology.PlanetaryOptions1M()
+	o.PoPs = pops
+	net, firstAccess, err := topology.Planetary(rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := make([]LinkSpec, net.NumLinks())
+	for j := 0; j < firstAccess; j++ {
+		links[j] = LinkSpec{Kind: Capacity}
+	}
+	kinds := protocol.Kinds()
+	sess := make([]SessionConfig, net.NumSessions())
+	for i := range sess {
+		sess[i] = SessionConfig{Protocol: kinds[i%len(kinds)], Layers: 8}
+	}
+	return Config{Network: net, Links: links, Sessions: sess, Packets: packets, Seed: seed,
+		CutLinks: topology.PlanetaryCutFrontier(firstAccess, net.NumLinks())}
+}
+
+// TestDispatchOrderInvariance: the order in which workers take the
+// groups moves nothing. Ascending, cost-ordered and reversed dispatch
+// give the identical Result at every worker count, on the three
+// protocols with churn and a time-window probe, and on the 64k
+// planetary run's 8 groups.
+func TestDispatchOrderInvariance(t *testing.T) {
+	ascending := func(_ Config, groups [][]int, _ []int) []int {
+		order := make([]int, len(groups))
+		for g := range order {
+			order[g] = g
+		}
+		return order
+	}
+	reversed := func(cfg Config, groups [][]int, budgets []int) []int {
+		order := ascending(cfg, groups, budgets)
+		slices.Reverse(order)
+		return order
+	}
+	disjoint := disjointCfg(t, 8, 15000, 5)
+	disjoint.Probe = &ProbeConfig{Window: 10, MaxSamples: 64}
+	for name, cfg := range map[string]Config{
+		"disjoint":      disjoint,
+		"planetary-64k": planetaryCfg(t, 128, 1024, 777),
+	} {
+		var want *Result
+		for _, shards := range []int{1, 2, 8} {
+			cfg.Shards = shards
+			for _, order := range []struct {
+				name string
+				fn   func(Config, [][]int, []int) []int
+			}{{"ascending", ascending}, {"cost", costOrder}, {"reversed", reversed}} {
+				got, err := runGroupsBy(cfg, order.fn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Shards=%d, %s dispatch diverged from Shards=1, ascending", name, shards, order.name)
+				}
+			}
+		}
+	}
+}
+
+// TestCostOrderPlanetary1M pins the dispatch order of the 1M preset's
+// 16,384-packet run: its Uncoordinated regions 1, 4 and 7 go first,
+// then the Deterministic, then the Coordinated.
+func TestCostOrderPlanetary1M(t *testing.T) {
+	cfg := planetaryCfg(t, topology.PlanetaryOptions1M().PoPs, 16384, 777)
+	groupOf, n := sessionGroupsOf(cfg)
+	groups, _ := splitGroups(cfg, groupOf, n)
+	budgets, _ := groupBudgets(cfg, groupOf, n)
+	if got, want := costOrder(cfg, groups, budgets), []int{1, 4, 7, 2, 5, 0, 3, 6}; !slices.Equal(got, want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+}
+
+// TestDispatch runs the worker loop on stub builds and runs: builds
+// happen one at a time and in the given order, every built group runs
+// once, and after a failed build no worker takes another group.
+func TestDispatch(t *testing.T) {
+	order := []int{5, 2, 7, 0, 3, 6, 1, 4}
+	for _, workers := range []int{0, 1, 2, 3, 8, 16} {
+		for failAt := -1; failAt < len(order); failAt++ {
+			var (
+				mu       sync.Mutex
+				built    []int
+				ran      = make([]atomic.Int32, len(order))
+				building atomic.Int32
+			)
+			build := func(g int) error {
+				if building.Add(1) != 1 {
+					t.Errorf("workers=%d: two builds at once", workers)
+				}
+				defer building.Add(-1)
+				mu.Lock()
+				built = append(built, g)
+				mu.Unlock()
+				if failAt >= 0 && g == order[failAt] {
+					return fmt.Errorf("group %d", g)
+				}
+				return nil
+			}
+			failed, err := dispatch(order, workers, build, func(g int) { ran[g].Add(1) })
+			wantBuilt := order
+			if failAt >= 0 {
+				wantBuilt = order[:failAt+1]
+				if failed != order[failAt] || err == nil || err.Error() != fmt.Sprintf("group %d", order[failAt]) {
+					t.Fatalf("workers=%d fail at %d: dispatch returned (%d, %v)", workers, failAt, failed, err)
+				}
+			} else if failed != -1 || err != nil {
+				t.Fatalf("workers=%d: dispatch returned (%d, %v) with no failure", workers, failed, err)
+			}
+			if !slices.Equal(built, wantBuilt) {
+				t.Fatalf("workers=%d fail at %d: built %v, want %v", workers, failAt, built, wantBuilt)
+			}
+			for i, g := range order {
+				want := int32(0)
+				if failAt < 0 || i < failAt {
+					want = 1
+				}
+				if n := ran[g].Load(); n != want {
+					t.Fatalf("workers=%d fail at %d: group %d ran %d times, want %d", workers, failAt, g, n, want)
+				}
+			}
+		}
+	}
+}
+
+// threeStarsCfg is three link-disjoint sessions, one shard group each:
+// session i sends from node 3i to n[i] receivers at node 3i+2, through
+// node 3i+1. A session listed in bad sends its last receiver over a
+// second, parallel link into node 3i+2, so its data-paths form no
+// tree. Session 2 is Uncoordinated, the others Coordinated.
+func threeStarsCfg(t *testing.T, n [3]int, bad ...int) Config {
+	t.Helper()
+	g := netmodel.NewGraph(9)
+	sessions := make([]*netmodel.Session, 3)
+	paths := make([][][]int, 3)
+	var sc []SessionConfig
+	for i := range 3 {
+		up := g.AddLink(3*i, 3*i+1, 10)
+		down := g.AddLink(3*i+1, 3*i+2, 10)
+		other := g.AddLink(3*i+1, 3*i+2, 10)
+		sessions[i] = &netmodel.Session{Sender: 3 * i, Receivers: make([]int, n[i]),
+			Type: netmodel.MultiRate, MaxRate: netmodel.NoRateCap}
+		paths[i] = make([][]int, n[i])
+		for k := range n[i] {
+			sessions[i].Receivers[k] = 3*i + 2
+			paths[i][k] = []int{up, down}
+		}
+		if slices.Contains(bad, i) {
+			paths[i][n[i]-1] = []int{up, other}
+		}
+		kind := protocol.Coordinated
+		if i == 2 {
+			kind = protocol.Uncoordinated
+		}
+		sc = append(sc, SessionConfig{Protocol: kind, Layers: 4})
+	}
+	net, err := netmodel.NewNetwork(g, sessions, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{Network: net, Sessions: sc, Packets: 500, Seed: 3}
+}
+
+// TestBuildErrorLowestGroup: a data-path error surfaces from Run as
+// before engines were built on their workers, from the lowest failing
+// group (here a group's only session), whatever group the dispatch
+// order builds first, and Run leaves no goroutine behind.
+func TestBuildErrorLowestGroup(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		bad  []int
+		want string
+	}{
+		{[]int{2}, "netsim: session 2 data-paths do not form a tree"},
+		// Group 2 is the costliest and is built first.
+		{[]int{1, 2}, "netsim: session 1 data-paths do not form a tree"},
+	} {
+		cfg := threeStarsCfg(t, [3]int{3, 3, 6}, tc.bad...)
+		for _, shards := range []int{0, 1, 3} {
+			cfg.Shards = shards
+			if _, err := Run(cfg); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("bad %v, Shards=%d: error %v, want %q", tc.bad, shards, err, tc.want)
+			}
+		}
+	}
+	// A worker that called wg.Done may take a moment to exit.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Run (%d before)", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -24,6 +24,9 @@ import (
 //     produce.
 //   - TestSampleGeometricInvKolmogorovSmirnov bounds the KS distance
 //     between the empirical gap CDF and 1-(1-p)^n.
+//   - TestSampleJoinMatchesSampleGeometric and TestJoinLogTable lock
+//     the Uncoordinated join draw, whose log(1-p) comes from a
+//     per-level table, to SampleGeometric in the same way.
 //
 // All three run on committed PCG seeds, so they are deterministic:
 // they guard refactors of the sampler, not the quality of math/rand.
@@ -48,6 +51,69 @@ func TestSampleGeometricInvMatchesSampleGeometric(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleJoinMatchesSampleGeometric locks the Uncoordinated join
+// draw, which reads log(1-p) from the per-level table, to
+// SampleGeometric at every level: the same countdown draw for draw, and
+// the same RNG state afterwards (one uniform per draw, none at level
+// 1).
+func TestSampleJoinMatchesSampleGeometric(t *testing.T) {
+	for lv := 1; lv <= MaxLevel; lv++ {
+		p := 1 / float64(JoinThreshold(lv))
+		for _, seed := range geomSeeds {
+			a := rand.New(rand.NewPCG(seed, seed))
+			b := rand.New(rand.NewPCG(seed, seed))
+			for i := 0; i < 20_000; i++ {
+				if want, got := SampleGeometric(a, p), SampleJoin(b, lv); got != want {
+					t.Fatalf("level %d seed=%d draw %d: SampleJoin=%d, SampleGeometric=%d",
+						lv, seed, i, got, want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("level %d seed=%d: the two samplers left different RNG states", lv, seed)
+			}
+		}
+	}
+}
+
+// TestJoinLogTable: every entry is finite and negative, levels up to 27
+// hold exactly math.Log(1-p), and from level 28, where 1-p rounds to 1,
+// the entry is math.Log1p(-p). A draw from the smallest uniform then
+// stays in [1, maxCountdown] at every level and grows with the level,
+// where dividing by log(1) = 0 used to clamp it to 1.
+func TestJoinLogTable(t *testing.T) {
+	for lv := 2; lv <= MaxLevel; lv++ {
+		p := 1 / float64(JoinThreshold(lv))
+		v := joinLog[lv-2]
+		if math.IsInf(v, 0) || math.IsNaN(v) || v >= 0 {
+			t.Fatalf("level %d: log(1-p) entry %v is not finite and negative", lv, v)
+		}
+		want := math.Log(1 - p)
+		if lv >= 28 {
+			want = math.Log1p(-p)
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("level %d: entry %v, want %v", lv, v, want)
+		}
+	}
+	prev := 0
+	for lv := 1; lv <= MaxLevel; lv++ {
+		n := SampleJoin(rand.New(smallestUniform{}), lv)
+		if n < 1 || n > maxCountdown || n < prev || (lv > 1 && n == prev && n != maxCountdown) {
+			t.Fatalf("level %d: draw at the smallest uniform = %d (level %d drew %d)", lv, n, lv-1, prev)
+		}
+		prev = n
+	}
+	if prev != maxCountdown {
+		t.Fatalf("top level: draw at the smallest uniform = %d, want the cap %d", prev, maxCountdown)
+	}
+}
+
+// smallestUniform makes rand.Float64 return 2^-53, its smallest
+// nonzero value.
+type smallestUniform struct{}
+
+func (smallestUniform) Uint64() uint64 { return 1 }
 
 // TestSampleGeometricInvBernoulliLaw chi-square-tests gap samples
 // against the Geometric(p) pmf. Cells are the gap values 1..k with the

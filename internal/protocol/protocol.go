@@ -72,6 +72,39 @@ func JoinThreshold(level int) int {
 	return 1 << (2 * (level - 1))
 }
 
+// MaxLevel is the highest subscription level the join logic supports:
+// JoinThreshold(MaxLevel) = 2^62 is the largest threshold an int64
+// holds.
+const MaxLevel = 32
+
+// joinLog[lv-2] is log(1-p) for p = 1/JoinThreshold(lv), lv in
+// [2, MaxLevel]: the denominator of every Uncoordinated join draw at
+// level lv, taken once here rather than on every join. Level 1 (p = 1)
+// draws nothing and has no entry.
+var joinLog = func() (t [MaxLevel - 1]float64) {
+	for lv := 2; lv <= MaxLevel; lv++ {
+		t[lv-2] = log1m(1 / float64(JoinThreshold(lv)))
+	}
+	return t
+}()
+
+// log1m returns log(1-p) for p in (0, 1): math.Log(1-p) bit for bit,
+// except where 1-p rounds to 1 (p <= 2^-54, join levels 28 and up).
+// There math.Log(1-p) is 0, a draw would divide by it, and
+// math.Log1p(-p) gives the small negative value instead.
+func log1m(p float64) float64 {
+	if q := 1 - p; q != 1 {
+		return math.Log(q)
+	}
+	return math.Log1p(-p)
+}
+
+// maxCountdown caps a geometric draw at JoinThreshold(MaxLevel), the
+// Deterministic countdown at the top level. A draw at level 32 passes
+// 2^63 once u < e^-2, where converting it to an int would overflow; no
+// run sends that many packets.
+const maxCountdown = 1 << 62
+
 // Receiver is one receiver's protocol state machine. It is driven by the
 // simulator through OnReceive, OnCongestion and OnSignal and reports its
 // current subscription level (1..M layers joined).
@@ -93,8 +126,8 @@ type Receiver struct {
 // joined to the base layer only. rng drives the Uncoordinated protocol's
 // sampling; the other protocols never consume randomness.
 func NewReceiver(kind Kind, m int, rng *rand.Rand) *Receiver {
-	if m < 1 {
-		panic("protocol: need at least one layer")
+	if m < 1 || m > MaxLevel {
+		panic(fmt.Sprintf("protocol: %d layers, want 1..%d", m, MaxLevel))
 	}
 	r := &Receiver{kind: kind, m: m, level: 1, rng: rng}
 	r.resetEventState()
@@ -113,32 +146,51 @@ func (r *Receiver) resetEventState() {
 	case Deterministic:
 		r.countdown = JoinThreshold(r.level)
 	case Uncoordinated:
-		r.countdown = r.sampleGeometric(1 / float64(JoinThreshold(r.level)))
+		r.countdown = SampleJoin(r.rng, r.level)
 	case Coordinated:
 		r.clean = true
 	}
 }
 
-// sampleGeometric draws from Geometric(p) on {1, 2, ...} by inversion.
-func (r *Receiver) sampleGeometric(p float64) int {
-	return SampleGeometric(r.rng, p)
-}
-
 // SampleGeometric draws from Geometric(p) on {1, 2, ...} by inversion —
 // the number of independent p-trials up to and including the first
-// success. It backs the Uncoordinated protocol's join sampling and is
-// exported so simulators can thin Bernoulli processes (e.g. per-link
-// loss) to one draw per success with exactly this distribution.
+// success. SampleJoin is its per-level form for the Uncoordinated
+// protocol's joins, and SampleGeometricInv its form for thinning a
+// Bernoulli process (e.g. per-link loss) to one draw per success; the
+// tests hold both to it draw for draw.
 func SampleGeometric(rng *rand.Rand, p float64) int {
 	if p >= 1 {
 		return 1
 	}
+	return geometric(rng, log1m(p))
+}
+
+// SampleJoin draws an Uncoordinated receiver's join countdown at level
+// lv in [1, MaxLevel]: the value SampleGeometric(rng,
+// 1/float64(JoinThreshold(lv))) returns, from the same one uniform,
+// with the level's log(1-p) read from a table. Level 1 (p = 1) returns
+// 1 without drawing.
+func SampleJoin(rng *rand.Rand, lv int) int {
+	if lv == 1 {
+		return 1
+	}
+	return geometric(rng, joinLog[lv-2])
+}
+
+// geometric draws Geometric(p) on {1, 2, ...} by inversion of one
+// uniform, given logq = log(1-p) < 0. It divides by logq: multiplying
+// by 1/logq would round some draws differently.
+func geometric(rng *rand.Rand, logq float64) int {
 	u := rng.Float64()
 	// Guard against u == 0 (log(0) = -Inf).
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	n := int(math.Log(u)/math.Log(1-p)) + 1
+	x := math.Log(u) / logq
+	if x >= maxCountdown {
+		return maxCountdown
+	}
+	n := int(x) + 1
 	if n < 1 {
 		n = 1
 	}
@@ -181,7 +233,7 @@ func (r *Receiver) OnCongestion() {
 	case Deterministic:
 		r.countdown = JoinThreshold(r.level)
 	case Uncoordinated:
-		r.countdown = r.sampleGeometric(1 / float64(JoinThreshold(r.level)))
+		r.countdown = SampleJoin(r.rng, r.level)
 	}
 }
 

@@ -292,18 +292,18 @@ func TestUncoordinatedDesynchronizes(t *testing.T) {
 }
 
 func TestGeometricSamplerEdge(t *testing.T) {
-	r := NewReceiver(Uncoordinated, 2, newRNG())
+	rng := newRNG()
 	// At level 1 the threshold is 1 (p=1): every countdown must be 1.
 	for i := 0; i < 50; i++ {
-		if n := r.sampleGeometric(1); n != 1 {
-			t.Fatalf("sampleGeometric(1) = %d", n)
+		if n := SampleGeometric(rng, 1); n != 1 {
+			t.Fatalf("SampleGeometric(1) = %d", n)
 		}
 	}
 	// Mean of Geometric(1/4) is 4.
 	var total float64
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		total += float64(r.sampleGeometric(0.25))
+		total += float64(SampleGeometric(rng, 0.25))
 	}
 	if mean := total / trials; math.Abs(mean-4) > 0.15 {
 		t.Fatalf("Geometric(0.25) mean = %v, want ~4", mean)

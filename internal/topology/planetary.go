@@ -8,7 +8,7 @@ import (
 )
 
 // PlanetaryOptions parameterizes Planetary: the intra-run-scale
-// workload (ROADMAP item 2) of a planet-wide CDN-style deployment —
+// workload of a planet-wide CDN-style deployment —
 // several link-disjoint regional backbones, each a scale-free core tree
 // with point-of-presence (PoP) fan-out, and a large fixed receiver
 // population parked at every PoP. Receiver counts reach 10^7 while
