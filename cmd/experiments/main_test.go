@@ -61,6 +61,23 @@ func TestSimulationGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "sim-quick.golden"), b.String())
 }
 
+// allocatorFigures lists the figures whose output comes from the max-min
+// allocator alone: weighted fairness (maxmin.AllocateWeighted) and
+// session churn (dynamics.Replay).
+const allocatorFigures = "ext-weighted,ext-churn"
+
+// TestAllocatorGolden locks `experiments -fig <allocatorFigures> -quick`
+// byte for byte. Regenerate after an intentional change with:
+//
+//	UPDATE_GOLDEN=1 go test ./cmd/experiments -run TestAllocatorGolden
+func TestAllocatorGolden(t *testing.T) {
+	var b strings.Builder
+	if err := run(&b, allocatorFigures, true); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "allocator-quick.golden"), b.String())
+}
+
 // checkGolden compares got with the golden file at path, or rewrites
 // the file when UPDATE_GOLDEN is set.
 func checkGolden(t *testing.T, path, got string) {
