@@ -1,6 +1,5 @@
 // Package mlfair's benchmark suite: one benchmark per paper table/figure
-// regenerator plus the ablations called out in DESIGN.md (closed-form vs
-// bisection allocator steps, closed-form vs Monte-Carlo redundancy,
+// regenerator plus ablations (closed-form vs bisection allocator steps, closed-form vs Monte-Carlo redundancy,
 // dense vs power-iteration stationary solves, per-protocol simulator
 // throughput).
 //

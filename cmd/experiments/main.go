@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see EXPERIMENTS.md for the index and expected shapes).
+// evaluation (README's "Reproducing the paper" lists what each part covers).
 //
 // Usage:
 //

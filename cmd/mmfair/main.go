@@ -234,7 +234,7 @@ func ReportWeighted(w io.Writer, net *netmodel.Network, weights maxmin.Weights) 
 
 	rt := trace.NewTable("Max-min fair receiver rates", "receiver", "type", "rate", "bound by")
 	for _, id := range net.ReceiverIDs() {
-		c := res.Causes[id]
+		c := res.Causes[id.Session][id.Receiver]
 		why := c.Kind.String()
 		if c.Kind != maxmin.CauseMaxRate {
 			why = fmt.Sprintf("%s l%d", c.Kind, c.Link+1)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mlfair/internal/maxmin"
 	"mlfair/internal/netmodel"
 )
 
@@ -159,4 +160,112 @@ func TestRunSpec(t *testing.T) {
 	if err := runSpec(&b, filepath.Join("testdata", "no-such-file.json"), false); err == nil {
 		t.Error("missing spec file accepted")
 	}
+}
+
+// tieNetwork is a single-rate session whose first three receivers
+// freeze in the same round on l1, l2 and l3, while r1,4 follows them as
+// a single-rate peer.
+const tieNetwork = `{"links":[1,1,1,10],"sessions":[{"type":"single","paths":[[0],[1],[2],[3]]}]}`
+
+// TestReportPeerCause: a single-rate peer is attributed the link of the
+// lowest-index receiver of its session that froze, on every run.
+func TestReportPeerCause(t *testing.T) {
+	net, err := Parse([]byte(tieNetwork))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		var b strings.Builder
+		if err := Report(&b, net); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, line := range strings.Split(b.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 5 && f[0] == "r1,4" {
+				found = true
+				if f[3] != "single-rate-peer" || f[4] != "l1" {
+					t.Fatalf("run %d: r1,4 bound by %s %s, want single-rate-peer l1", run, f[3], f[4])
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("run %d: no r1,4 row in report:\n%s", run, b.String())
+		}
+	}
+}
+
+// FuzzReport feeds network JSON through ParseWeighted and
+// ReportWeighted. On a parsed network of bounded size and magnitude the
+// allocation must be feasible and saturated, and two reports of it must
+// print the same bytes.
+func FuzzReport(f *testing.F) {
+	for _, seed := range []string{
+		exampleJSON,
+		tieNetwork,
+		`{"links":[12],"sessions":[{"paths":[[0]],"weights":[1]},{"paths":[[0]],"weights":[3]}]}`,
+		`{"links":[12],"sessions":[{"redundancy":2,"paths":[[0],[0]]},{"paths":[[0]]}]}`,
+		`{"links":[12,100],"sessions":[{"paths":[[0],[0,1]],"weights":[2,1]},{"paths":[[0]]}]}`,
+		`{"links":[5,2,3,6],"sessions":[{"type":"single","maxRate":4,"paths":[[0,3],[1],[2]],"weights":[2,2,2]},{"redundancy":1.5,"paths":[[0,3],[1]],"weights":[0.5,3]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, w, err := ParseWeighted(data)
+		if err != nil || !bounded(net, w) {
+			return
+		}
+		res, err := maxmin.AllocateWeighted(net, w)
+		if err != nil {
+			t.Fatalf("allocation failed: %v", err)
+		}
+		if err := res.Alloc.Feasible(); err != nil {
+			t.Fatalf("infeasible allocation: %v", err)
+		}
+		if id, ok := maxmin.CheckSaturation(res.Alloc); !ok {
+			t.Fatalf("%v can still rise in %s", id, res.Alloc)
+		}
+		var a, b strings.Builder
+		if err := ReportWeighted(&a, net, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := ReportWeighted(&b, net, w); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Fatalf("two reports differ:\n%s\n---\n%s", a.String(), b.String())
+		}
+	})
+}
+
+// bounded admits the networks FuzzReport checks: at most 8 links and 4
+// sessions of at most 4 receivers, capacities and finite κ at most 100,
+// redundancy at most 4, and valid weights (within [1/4, 4], equal
+// within a single-rate session), so that the fill's rounding stays
+// below netmodel.Eps.
+func bounded(net *netmodel.Network, w maxmin.Weights) bool {
+	if net.NumLinks() > 8 || net.NumSessions() > 4 {
+		return false
+	}
+	for j := 0; j < net.NumLinks(); j++ {
+		if net.Capacity(j) > 100 {
+			return false
+		}
+	}
+	for i, s := range net.Sessions() {
+		if s.NumReceivers() > 4 || (s.MaxRate != netmodel.NoRateCap && s.MaxRate > 100) {
+			return false
+		}
+		if s.LinkRate != nil && s.LinkRate([]float64{1, 1}) > 4 {
+			return false
+		}
+		if w == nil {
+			continue
+		}
+		for _, x := range w[i] {
+			if x < 0.25 || x > 4 || (s.Type == netmodel.SingleRate && x != w[i][0]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -6,8 +6,9 @@
 // in non-obvious directions.
 //
 // A Timeline is a sequence of events (session joins/leaves, receiver
-// removals) over a fixed graph. Replaying it recomputes the max-min
-// fair allocation after every event and reports churn metrics: how much
+// removals) over a fixed population of sessions. Replaying it toggles
+// receivers of one maxmin.Incremental over the whole population,
+// refills it after every event, and reports churn metrics: how much
 // surviving receivers' rates moved, in which directions, and how the
 // minimum rate evolved. The Figure 3 networks show single events moving
 // rates both ways; this package quantifies the effect at scale.
@@ -83,21 +84,40 @@ type StepReport struct {
 }
 
 // Replay runs the timeline, recomputing the max-min fair allocation
-// after every event.
+// after every event: one maxmin.Incremental holds the whole population,
+// an arrival or departure toggles all of the session's receivers, a
+// removal toggles one, and each event is one Fill.
 func Replay(tl *Timeline) ([]StepReport, error) {
 	if tl == nil || tl.Population == nil {
 		return nil, fmt.Errorf("dynamics: nil timeline")
 	}
 	pop := tl.Population
-	active := make([]bool, pop.NumSessions())
-	// removed[i] marks receiver indices (of the population) removed from
-	// session i.
-	removed := make([]map[int]bool, pop.NumSessions())
-	for i := range removed {
-		removed[i] = map[int]bool{}
+	inc, err := maxmin.NewIncremental(pop)
+	if err != nil {
+		return nil, err
 	}
-
-	prev := map[netmodel.ReceiverID]float64{}
+	// left[i] counts session i's present receivers; 0 means inactive.
+	// prev[i][k] is r_{i,k}'s rate after the previous event, NaN while
+	// the receiver is absent.
+	left := make([]int, pop.NumSessions())
+	prev := make([][]float64, pop.NumSessions())
+	for i := range prev {
+		prev[i] = make([]float64, pop.Session(i).NumReceivers())
+		for k := range prev[i] {
+			inc.SetActive(i, k, false)
+			prev[i][k] = math.NaN()
+		}
+	}
+	setSession := func(i int, on bool) {
+		for k := range prev[i] {
+			inc.SetActive(i, k, on)
+		}
+		left[i] = 0
+		if on {
+			left[i] = len(prev[i])
+		}
+	}
+	active := 0
 	var out []StepReport
 	for _, ev := range tl.Events {
 		if ev.Session < 0 || ev.Session >= pop.NumSessions() {
@@ -105,52 +125,55 @@ func Replay(tl *Timeline) ([]StepReport, error) {
 		}
 		switch ev.Kind {
 		case SessionArrival:
-			if active[ev.Session] {
+			if left[ev.Session] > 0 {
 				return nil, fmt.Errorf("dynamics: session %d already active", ev.Session)
 			}
-			active[ev.Session] = true
+			setSession(ev.Session, true)
+			active++
 		case SessionDeparture:
-			if !active[ev.Session] {
-				return nil, fmt.Errorf("dynamics: session %d not active", ev.Session)
-			}
-			active[ev.Session] = false
 			// A departing session's removals are forgotten; a re-arrival
 			// starts fresh.
-			removed[ev.Session] = map[int]bool{}
+			if left[ev.Session] == 0 {
+				return nil, fmt.Errorf("dynamics: session %d not active", ev.Session)
+			}
+			setSession(ev.Session, false)
+			active--
 		case ReceiverRemoval:
-			if !active[ev.Session] {
+			switch {
+			case left[ev.Session] == 0:
 				return nil, fmt.Errorf("dynamics: removal from inactive session %d", ev.Session)
-			}
-			if removed[ev.Session][ev.Receiver] {
+			case ev.Receiver < 0 || ev.Receiver >= len(prev[ev.Session]):
+				return nil, fmt.Errorf("dynamics: session %d has no receiver %d", ev.Session, ev.Receiver)
+			case !inc.Active(ev.Session, ev.Receiver):
 				return nil, fmt.Errorf("dynamics: receiver %d already removed", ev.Receiver)
-			}
-			left := pop.Session(ev.Session).NumReceivers() - len(removed[ev.Session])
-			if left <= 1 {
+			case left[ev.Session] == 1:
 				return nil, fmt.Errorf("dynamics: session %d cannot lose its last receiver", ev.Session)
 			}
-			removed[ev.Session][ev.Receiver] = true
+			inc.SetActive(ev.Session, ev.Receiver, false)
+			left[ev.Session]--
 		default:
 			return nil, fmt.Errorf("dynamics: unknown event kind %v", ev.Kind)
 		}
-
-		net, idmap, err := restrict(pop, active, removed)
-		rep := StepReport{Event: ev, ActiveSessions: countTrue(active)}
-		cur := map[netmodel.ReceiverID]float64{}
-		if err == nil && net != nil {
-			res, aerr := maxmin.Allocate(net)
-			if aerr != nil {
-				return nil, aerr
-			}
-			rep.MinRate = res.Alloc.MinRate()
-			rep.TotalRate = res.Alloc.TotalRate()
-			for sub, orig := range idmap {
-				cur[orig] = res.Alloc.RateOf(sub)
-			}
-		} else if err != nil {
+		if err := inc.Fill(); err != nil {
 			return nil, err
 		}
-		for id, r := range cur {
-			if p, ok := prev[id]; ok {
+		rep := StepReport{Event: ev, ActiveSessions: active}
+		first := true
+		for i := range prev {
+			for k, p := range prev[i] {
+				prev[i][k] = math.NaN()
+				if !inc.Active(i, k) {
+					continue
+				}
+				r := inc.Rate(i, k)
+				prev[i][k] = r
+				if first || r < rep.MinRate {
+					rep.MinRate, first = r, false
+				}
+				rep.TotalRate += r
+				if math.IsNaN(p) {
+					continue
+				}
 				d := r - p
 				if d > netmodel.Eps {
 					rep.Winners++
@@ -162,55 +185,7 @@ func Replay(tl *Timeline) ([]StepReport, error) {
 				}
 			}
 		}
-		prev = cur
 		out = append(out, rep)
 	}
 	return out, nil
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// restrict builds the active sub-network. idmap maps sub-network
-// receiver IDs back to population IDs. Returns (nil, nil, nil) when no
-// session is active.
-func restrict(pop *netmodel.Network, active []bool, removed []map[int]bool) (*netmodel.Network, map[netmodel.ReceiverID]netmodel.ReceiverID, error) {
-	var sessions []*netmodel.Session
-	var paths [][][]int
-	idmap := map[netmodel.ReceiverID]netmodel.ReceiverID{}
-	for i := 0; i < pop.NumSessions(); i++ {
-		if !active[i] {
-			continue
-		}
-		src := pop.Session(i)
-		c := *src
-		c.Receivers = nil
-		var ps [][]int
-		for k := range src.Receivers {
-			if removed[i][k] {
-				continue
-			}
-			idmap[netmodel.ReceiverID{Session: len(sessions), Receiver: len(c.Receivers)}] =
-				netmodel.ReceiverID{Session: i, Receiver: k}
-			c.Receivers = append(c.Receivers, src.Receivers[k])
-			ps = append(ps, pop.Path(i, k))
-		}
-		sessions = append(sessions, &c)
-		paths = append(paths, ps)
-	}
-	if len(sessions) == 0 {
-		return nil, nil, nil
-	}
-	net, err := netmodel.NewNetwork(pop.Graph(), sessions, paths)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, idmap, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"mlfair/internal/maxmin"
 	"mlfair/internal/netmodel"
 	"mlfair/internal/topology"
 )
@@ -161,10 +162,81 @@ func TestChurnStressRandom(t *testing.T) {
 	if len(reps) != len(events) {
 		t.Fatalf("reports %d for %d events", len(reps), len(events))
 	}
-	for _, r := range reps {
+	// Reference: a cold Allocate on the sub-network of the receivers
+	// present after each event.
+	present := make([][]bool, pop.NumSessions())
+	for x, ev := range events {
+		switch ev.Kind {
+		case SessionArrival:
+			present[ev.Session] = make([]bool, pop.Session(ev.Session).NumReceivers())
+			for k := range present[ev.Session] {
+				present[ev.Session][k] = true
+			}
+		case SessionDeparture:
+			present[ev.Session] = nil
+		case ReceiverRemoval:
+			present[ev.Session][ev.Receiver] = false
+		}
+		r := reps[x]
 		if r.MinRate < 0 || r.TotalRate < 0 {
 			t.Fatalf("negative rates in %+v", r)
 		}
+		minRate, total, sessions := coldSummary(t, pop, present)
+		if r.ActiveSessions != sessions || !netmodel.Eq(r.MinRate, minRate) || !netmodel.Eq(r.TotalRate, total) {
+			t.Fatalf("event %d: report %+v, cold fill min %v total %v over %d sessions", x, r, minRate, total, sessions)
+		}
+	}
+}
+
+// coldSummary allocates the sub-network of pop's present receivers from
+// scratch and returns its minimum and total rate and session count.
+func coldSummary(t *testing.T, pop *netmodel.Network, present [][]bool) (minRate, total float64, sessions int) {
+	t.Helper()
+	b := netmodel.NewBuilder()
+	for j := 0; j < pop.NumLinks(); j++ {
+		b.AddLink(pop.Capacity(j))
+	}
+	for i, ks := range present {
+		var paths [][]int
+		for k, in := range ks {
+			if in {
+				paths = append(paths, pop.Path(i, k))
+			}
+		}
+		if len(paths) == 0 {
+			continue
+		}
+		s := pop.Session(i)
+		si := b.AddSession(s.Type, s.MaxRate, len(paths))
+		for x, p := range paths {
+			b.SetPath(si, x, p...)
+		}
+		sessions++
+	}
+	if sessions == 0 {
+		return 0, 0, 0
+	}
+	res, err := maxmin.Allocate(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Alloc.MinRate(), res.Alloc.TotalRate(), sessions
+}
+
+// TestReplayRejectsOutOfRangeReceiver: a removal must name one of the
+// session's receivers. Figure 3(a)'s S3 has two; removing receiver 99
+// or -1 is an error, and the valid removal of receiver 0 still works.
+func TestReplayRejectsOutOfRangeReceiver(t *testing.T) {
+	pop := topology.Figure3a().Network
+	for _, bad := range []int{99, 2, -1} {
+		evs := []Event{{Kind: SessionArrival, Session: 2}, {Kind: ReceiverRemoval, Session: 2, Receiver: bad}}
+		if _, err := Replay(&Timeline{Population: pop, Events: evs}); err == nil {
+			t.Errorf("removal of receiver %d accepted", bad)
+		}
+	}
+	evs := []Event{{Kind: SessionArrival, Session: 2}, {Kind: ReceiverRemoval, Session: 2, Receiver: 0}}
+	if _, err := Replay(&Timeline{Population: pop, Events: evs}); err != nil {
+		t.Fatalf("valid removal rejected: %v", err)
 	}
 }
 

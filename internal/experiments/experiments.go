@@ -1,13 +1,12 @@
 // Package experiments contains one driver per figure and table of the
 // paper's evaluation. Each driver regenerates its artifact as a text
 // table (via the trace package) and returns the underlying data, so the
-// same code backs `cmd/experiments`, the benchmark suite, and
-// EXPERIMENTS.md.
+// same code backs `cmd/experiments` and the benchmark suite.
 //
-// Absolute numbers from the protocol simulations depend on our
-// reconstructed substrate (see DESIGN.md); the drivers exist to verify
-// the paper's *shapes*: who wins, by what factor, and where the
-// crossovers fall.
+// Absolute numbers from the protocol simulations depend on the
+// simulated substrate (the internal/netsim engine and its link models);
+// the drivers exist to verify the paper's *shapes*: who wins, by what
+// factor, and where the crossovers fall.
 package experiments
 
 import (

@@ -15,7 +15,7 @@ import (
 // The drivers in this file cover the paper's Section 5 ("related / future
 // work") directions that this library implements beyond the published
 // evaluation: leave latency, priority dropping, and weighted (TCP-style)
-// max-min fairness. DESIGN.md lists them as extensions; they are not
+// max-min fairness. `experiments -fig ext` runs them; they are not
 // figures of the paper.
 
 // ExtensionOptions sizes the extension simulations.
@@ -106,7 +106,8 @@ func PriorityDrop(w io.Writer, o ExtensionOptions) error {
 // WeightedFairness demonstrates the Section 5 TCP-fairness extension:
 // three same-path sessions weighted by inverse RTT split a bottleneck in
 // proportion to their weights, and a multicast session's usage follows
-// its fastest weighted receiver.
+// its fastest weighted receiver, whose layers the slower-weighted one
+// receives at no further cost to the bottleneck.
 func WeightedFairness(w io.Writer) error {
 	b := netmodel.NewBuilder()
 	bottleneck := b.AddLink(12)
@@ -140,7 +141,8 @@ func WeightedFairness(w io.Writer) error {
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "equal rate/weight across unpinned receivers = weighted max-min fair")
+	fmt.Fprintln(w, "equal rate/weight across receivers the bottleneck stops = weighted max-min fair;")
+	fmt.Fprintln(w, "r4,2 rides r4,1's layers across it, which costs the bottleneck nothing more")
 	fmt.Fprintln(w)
 	return nil
 }

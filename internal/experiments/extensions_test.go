@@ -16,9 +16,21 @@ func TestWeightedFairnessDriver(t *testing.T) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
 	}
-	// All unpinned receivers share the normalized level 0.3 (12 / 40 total weight).
-	if got := strings.Count(out, "0.3"); got < 5 {
-		t.Errorf("expected five 0.3 normalized rates, found %d:\n%s", got, out)
+	// The four receivers the bottleneck stops share the normalized level
+	// 0.3 (12 / 40 total weight). r4,2 rides r4,1's layers across the
+	// bottleneck up to r4,1's rate 3, normalized 0.6.
+	level, far := 0, ""
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 4 && strings.HasPrefix(f[0], "r") && f[3] == "0.3" {
+			level++
+		}
+		if len(f) == 4 && f[0] == "r4,2" {
+			far = strings.Join(f[1:], " ")
+		}
+	}
+	if level != 4 || far != "5 3 0.6" {
+		t.Errorf("want four receivers at normalized 0.3 and r4,2 at weight 5, rate 3, normalized 0.6; got %d and %q:\n%s", level, far, out)
 	}
 }
 

@@ -8,24 +8,21 @@ import (
 	"mlfair/internal/netmodel"
 )
 
-// Incremental maintains the max-min fair allocation of a network
-// across membership epochs: receivers join and leave (churn, slow-leave
-// expiry), and each Fill recomputes the fair allocation for the current
-// membership by progressive filling — warm-started from the previous
-// fill instead of rebuilt from scratch.
+// Incremental is the package's progressive filler. It indexes a network
+// once into flat arrays; each Fill then computes the max-min fair
+// allocation of the current membership, which SetActive changes between
+// fills (churn joins and leaves, slow-leave expiry, session arrivals and
+// departures in dynamics.Replay). Allocate and its variants are the
+// first Fill of a fresh Incremental.
 //
-// Versus running Allocate on a rebuilt sub-network per epoch, the
-// incremental allocator
-//
-//   - keeps every per-link crossing structure as flat index arrays built
-//     once (the batch filler's maps are gone), with per-(link, session)
-//     active-receiver counts maintained in O(path length) per membership
-//     toggle rather than rescanned per epoch;
-//   - reuses all filling scratch across epochs, so an epoch allocates
-//     nothing; and
-//   - warm-starts the water level after leave-only epochs: link usage
+//   - Every per-link crossing structure is a flat index array built
+//     once, with per-(link, session) active-receiver counts maintained
+//     in O(path length) per membership toggle.
+//   - All filling scratch is reused across fills, so a fill allocates
+//     nothing.
+//   - After leave-only changes the water level warm-starts: link usage
 //     at a common level is monotone in the receiver set (every v_i
-//     dominates a monotone max), so before the previous epoch's minimum
+//     dominates a monotone max), so before the previous fill's minimum
 //     active rate no link can saturate, no κ can bind, and no cascade
 //     can trigger — no receiver freezes strictly below that minimum,
 //     and the fill may start there instead of at zero. (Individual
@@ -33,12 +30,12 @@ import (
 //     single-rate session whose bottleneck departs rises into links it
 //     shares — which is why the warm start is pinned to the minimum.)
 //
-// Departed receivers have rate 0 and no cause. The fill itself follows
-// Allocate exactly (progressive filling with the closed-form step when
-// every session uses the efficient v = max, bisection otherwise), so
-// epoch allocations equal the batch allocator's output on the
-// active-receiver sub-network — the property the incremental-vs-batch
-// test pins.
+// Departed receivers have rate 0 and no cause, and no link carries
+// them, so a fill equals the first fill of the network restricted to
+// the active receivers — within tolerance, since a warm start sums the
+// level differently; the incremental tests pin this property. Receivers
+// freeze in index order within a round: a single-rate peer's cause
+// names the link of its session's lowest-index receiver that froze.
 type Incremental struct {
 	net *netmodel.Network
 
@@ -69,20 +66,24 @@ type Incremental struct {
 	recvSlots     []int32
 
 	// generic is true when some session carries a custom link-rate
-	// function, forcing bisection steps (exactly the batch filler's
-	// criterion).
+	// function or the caller asks for bisection steps (AllocateGeneric,
+	// AllocateWeighted).
 	generic bool
+	// weights holds w_{i,k} at rid for a weighted fill (AllocateWeighted
+	// sets it); nil is the paper's unweighted fill. A rising receiver's
+	// rate is w·level instead of level.
+	weights []float64
 
 	// Warm-start state.
 	warmLevel float64 // valid when warmOK: previous fill's min active rate
-	warmOK    bool    // no join since the last fill, and lastMin is defined
+	warmOK    bool    // no join since the last unweighted fill, and warmLevel is defined
 
 	// Fill scratch, reused across epochs.
 	slotFill  []int32   // slot's active-and-unfrozen receiver count
 	actList   []int32   // rids still rising
 	saturated []bool    // per link
 	rateBuf   []float64 // EffectiveLinkRate argument buffer
-	frozenIDs []int32   // rids frozen this round
+	frozenIDs []int32   // rids a κ or a link froze this round
 }
 
 // NewIncremental indexes the network for epoch-incremental allocation.
@@ -244,35 +245,43 @@ func (inc *Incremental) Fill() error {
 			return err
 		}
 		level += t
-		for _, r := range inc.actList {
-			inc.rates[r] = level
-		}
-		removed := inc.freeze(level, round)
+		inc.setRising(level)
+		removed := inc.freeze(round)
 		if removed == 0 {
-			return fmt.Errorf("maxmin: incremental fill stalled at level %v after round %d (invalid link-rate function?)", level, round)
+			return fmt.Errorf("maxmin: no progress at level %v after round %d (invalid link-rate function?)", level, round)
 		}
 		round++
 	}
 	inc.rounds = round
 	// The next epoch may warm-start here if it only removes receivers.
+	// The minimum rate is the fill level only when unweighted.
 	inc.warmLevel = math.Inf(1)
 	for r := 0; r < inc.nR; r++ {
 		if inc.active[r] && inc.rates[r] < inc.warmLevel {
 			inc.warmLevel = inc.rates[r]
 		}
 	}
-	inc.warmOK = !math.IsInf(inc.warmLevel, 1)
+	inc.warmOK = inc.weights == nil && !math.IsInf(inc.warmLevel, 1)
 	return nil
 }
 
-// step returns the largest uniform increment for the still-rising
-// receivers (the batch filler's step on flat state).
+// step returns the largest increment t of the level that keeps the
+// allocation feasible (the sup of the paper's step 3).
 func (inc *Incremental) step(level float64) (float64, error) {
+	// κ bound: a rising rate w·(level+t) may not exceed its session's
+	// κ, so t <= κ/w - level.
 	t := math.Inf(1)
-	for _, r := range inc.actList {
-		i := inc.sessionOf(int(r))
-		if slack := inc.net.Session(i).MaxRate - level; slack < t {
-			t = slack
+	if w := inc.weights; w == nil {
+		for _, r := range inc.actList {
+			if slack := inc.net.Session(inc.sessionOf(int(r))).MaxRate - level; slack < t {
+				t = slack
+			}
+		}
+	} else {
+		for _, r := range inc.actList {
+			if slack := inc.net.Session(inc.sessionOf(int(r))).MaxRate/w[r] - level; slack < t {
+				t = slack
+			}
 		}
 	}
 	if t < 0 {
@@ -317,6 +326,9 @@ func (inc *Incremental) slotFrozenMax(s int) float64 {
 // slotRising reports whether rid is still rising in the current fill.
 func (inc *Incremental) slotRising(r int) bool { return inc.active[r] && !inc.frozen[r] }
 
+// closedFormStep implements the paper's step 3 exactly for v = max and
+// unit weights: on each link the total rate rises with slope Σ_i
+// δ_{i,j}(T), where δ is 1 if session i has a rising receiver there.
 func (inc *Incremental) closedFormStep(level, t float64) (float64, error) {
 	nl := inc.net.NumLinks()
 	for j := 0; j < nl; j++ {
@@ -347,18 +359,15 @@ func (inc *Incremental) closedFormStep(level, t float64) (float64, error) {
 	return t, nil
 }
 
+// bisectStep finds the sup increment by bisection against arbitrary
+// monotone link-rate functions.
 func (inc *Incremental) bisectStep(level, kappaBound float64) (float64, error) {
+	// Since every v_i dominates max, a link crossed by a rising receiver
+	// of weight w carries u_j >= w·(level+t), so t <= c_j/w - level.
 	hi := kappaBound
 	for j := 0; j < inc.net.NumLinks(); j++ {
-		has := false
-		for s := int(inc.slotStart[j]); s < int(inc.slotStart[j+1]); s++ {
-			if inc.slotFill[s] > 0 {
-				has = true
-				break
-			}
-		}
-		if has {
-			if b := inc.net.Capacity(j) - level; b < hi {
+		if w := inc.risingWeight(j); w > 0 {
+			if b := inc.net.Capacity(j)/w - level; b < hi {
 				hi = b
 			}
 		}
@@ -384,11 +393,35 @@ func (inc *Incremental) bisectStep(level, kappaBound float64) (float64, error) {
 	return lo, nil
 }
 
+// risingWeight returns the largest weight among link j's rising
+// receivers (1 when unweighted), or 0 when none rises there.
+func (inc *Incremental) risingWeight(j int) float64 {
+	w := 0.0
+	for s := int(inc.slotStart[j]); s < int(inc.slotStart[j+1]); s++ {
+		if inc.slotFill[s] == 0 {
+			continue
+		}
+		if inc.weights == nil {
+			return 1
+		}
+		for _, r := range inc.slotRecv[inc.slotRecvStart[s]:inc.slotRecvStart[s+1]] {
+			if inc.slotRising(int(r)) && inc.weights[r] > w {
+				w = inc.weights[r]
+			}
+		}
+	}
+	return w
+}
+
+// feasibleAt reports whether raising the level by t keeps every link
+// within capacity. It puts the rising receivers at level+t in place:
+// Fill sets their rates again once the step is chosen.
 func (inc *Incremental) feasibleAt(level, t float64) bool {
+	inc.setRising(level + t)
 	for j := 0; j < inc.net.NumLinks(); j++ {
 		u := 0.0
 		for s := int(inc.slotStart[j]); s < int(inc.slotStart[j+1]); s++ {
-			u += inc.slotLinkRateAt(s, level+t)
+			u += inc.slotLinkRate(s)
 		}
 		if u > inc.net.Capacity(j)+1e-15 {
 			return false
@@ -397,28 +430,43 @@ func (inc *Incremental) feasibleAt(level, t float64) bool {
 	return true
 }
 
-// slotLinkRateAt evaluates the slot session's link rate with its rising
-// receivers at the given level (the batch filler's sessionLinkRateAt).
-func (inc *Incremental) slotLinkRateAt(s int, at float64) float64 {
+// setRising sets every rising receiver's rate to w·level (level when
+// unweighted).
+func (inc *Incremental) setRising(level float64) {
+	if w := inc.weights; w == nil {
+		for _, r := range inc.actList {
+			inc.rates[r] = level
+		}
+	} else {
+		for _, r := range inc.actList {
+			inc.rates[r] = w[r] * level
+		}
+	}
+}
+
+// slotLinkRate is the slot session's link rate at the current rates of
+// its active receivers. Departed receivers are not downstream of the
+// link and are left out.
+func (inc *Incremental) slotLinkRate(s int) float64 {
 	inc.rateBuf = inc.rateBuf[:0]
 	for _, r := range inc.slotRecv[inc.slotRecvStart[s]:inc.slotRecvStart[s+1]] {
-		v := inc.rates[r]
-		if inc.slotRising(int(r)) {
-			v = at
+		if inc.active[r] {
+			inc.rateBuf = append(inc.rateBuf, inc.rates[r])
 		}
-		inc.rateBuf = append(inc.rateBuf, v)
 	}
 	return inc.net.Session(int(inc.slotSess[s])).EffectiveLinkRate(inc.rateBuf)
 }
 
-// freeze settles receivers that can rise no further (κ, saturated path
-// link, single-rate peer cascade), in the batch filler's order.
-func (inc *Incremental) freeze(level float64, round int) int {
+// freeze settles the receivers that can rise no further (steps 6 and
+// 7: κ reached, a saturated link on the data-path, a single-rate peer
+// frozen), recording causes, and returns how many froze. Rising rates
+// hold this round's level.
+func (inc *Incremental) freeze(round int) int {
 	net := inc.net
 	for j := 0; j < net.NumLinks(); j++ {
 		u := 0.0
 		for s := int(inc.slotStart[j]); s < int(inc.slotStart[j+1]); s++ {
-			u += inc.slotLinkRateAt(s, level)
+			u += inc.slotLinkRate(s)
 		}
 		inc.saturated[j] = netmodel.Geq(u, net.Capacity(j))
 	}
@@ -426,48 +474,36 @@ func (inc *Incremental) freeze(level float64, round int) int {
 	for _, r := range inc.actList {
 		i := inc.sessionOf(int(r))
 		k := int(r) - int(inc.off[i])
-		if netmodel.Geq(level, net.Session(i).MaxRate) {
+		if netmodel.Geq(inc.rates[r], net.Session(i).MaxRate) {
 			inc.causes[r] = Cause{Kind: CauseMaxRate, Link: -1, Round: round}
 			inc.frozenIDs = append(inc.frozenIDs, r)
 			continue
 		}
 		for _, j := range net.Path(i, k) {
-			if inc.saturated[j] {
+			if inc.saturated[j] && inc.limits(int(r), j) {
 				inc.causes[r] = Cause{Kind: CauseLink, Link: j, Round: round}
 				inc.frozenIDs = append(inc.frozenIDs, r)
 				break
 			}
 		}
 	}
+	for _, r := range inc.frozenIDs {
+		inc.settle(int(r))
+	}
 	n := len(inc.frozenIDs)
-	inc.settle(inc.frozenIDs)
 	// Single-rate cascade: a frozen receiver freezes its whole session.
-	for _, r := range inc.frozenIDs[:n] {
+	for _, r := range inc.frozenIDs {
 		i := inc.sessionOf(int(r))
 		if net.Session(i).Type != netmodel.SingleRate {
 			continue
 		}
 		link := inc.causes[r].Link
 		for k := 0; k < net.Session(i).NumReceivers(); k++ {
-			pr := inc.rid(i, k)
-			if inc.slotRising(pr) {
+			if pr := inc.rid(i, k); inc.slotRising(pr) {
 				inc.causes[pr] = Cause{Kind: CauseSessionPeer, Link: link, Round: round}
-				inc.frozenIDs = append(inc.frozenIDs, int32(pr))
-				inc.settle(inc.frozenIDs[len(inc.frozenIDs)-1:])
+				inc.settle(pr)
 				n++
 			}
-		}
-	}
-	return n
-}
-
-// settle marks rids frozen, updates the per-slot rising counts, and
-// compacts them out of the rising list.
-func (inc *Incremental) settle(rids []int32) {
-	for _, r := range rids {
-		inc.frozen[r] = true
-		for _, s := range inc.recvSlots[inc.recvSlotStart[r]:inc.recvSlotStart[r+1]] {
-			inc.slotFill[s]--
 		}
 	}
 	out := inc.actList[:0]
@@ -477,6 +513,38 @@ func (inc *Incremental) settle(rids []int32) {
 		}
 	}
 	inc.actList = out
+	return n
+}
+
+// limits reports whether saturated link j stops rising receiver r,
+// that is, whether raising r's rate raises its session's usage of j.
+// Unweighted, r holds its session's top rate on every link it crosses
+// (frozen peers stopped at lower levels), so every saturated link stops
+// it. Weighted, a receiver below its session's top rate on j is not
+// charged there under v = max and keeps rising.
+func (inc *Incremental) limits(r, j int) bool {
+	if inc.weights == nil {
+		return true
+	}
+	for _, s := range inc.recvSlots[inc.recvSlotStart[r]:inc.recvSlotStart[r+1]] {
+		if s < inc.slotStart[j] || s >= inc.slotStart[j+1] {
+			continue
+		}
+		u, old := inc.slotLinkRate(int(s)), inc.rates[r]
+		inc.rates[r] = old + netmodel.Eps*(1+old)
+		up := inc.slotLinkRate(int(s)) > u
+		inc.rates[r] = old
+		return up
+	}
+	return false
+}
+
+// settle marks rid frozen and takes it out of its slots' rising counts.
+func (inc *Incremental) settle(r int) {
+	inc.frozen[r] = true
+	for _, s := range inc.recvSlots[inc.recvSlotStart[r]:inc.recvSlotStart[r+1]] {
+		inc.slotFill[s]--
+	}
 }
 
 // MembershipEvent toggles one receiver's membership at a point in

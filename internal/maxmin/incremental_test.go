@@ -11,8 +11,8 @@ import (
 // activeSubNetwork rebuilds the network restricted to the active
 // receivers (sessions left with none are dropped), returning the
 // sub-network and, per original session, the original receiver indices
-// it kept (nil for dropped sessions) — the mapping the batch
-// comparison walks.
+// it kept (nil for dropped sessions) — the mapping compareEpochToBatch
+// walks.
 func activeSubNetwork(t *testing.T, net *netmodel.Network, active func(i, k int) bool) (*netmodel.Network, [][]int) {
 	t.Helper()
 	b := netmodel.NewBuilder()
@@ -47,9 +47,12 @@ func activeSubNetwork(t *testing.T, net *netmodel.Network, active func(i, k int)
 }
 
 // compareEpochToBatch checks the incremental allocator's current
-// allocation against batch AllocateGeneric on the active sub-network:
-// rates within netmodel.Eps, inactive receivers at 0, and bottleneck
-// causes agreeing in kind, saturating link (for link causes) and round.
+// allocation against references on the active sub-network, where
+// "batch" means a cold fill from zero of that sub-network:
+// it must be feasible and saturated (CheckSaturation), match a cold
+// AllocateGeneric there (rates within netmodel.Eps; causes in kind,
+// link and round) and, when every session uses v = max, match
+// referenceFill within netmodel.Eps. Departed receivers must sit at 0.
 func compareEpochToBatch(t *testing.T, trial, epoch int, net *netmodel.Network, inc *Incremental) {
 	t.Helper()
 	anyActive := false
@@ -63,12 +66,17 @@ func compareEpochToBatch(t *testing.T, trial, epoch int, net *netmodel.Network, 
 		}
 	}
 	if !anyActive {
-		return // nothing to compare: the batch side has no sessions
+		return // nothing to compare: the sub-network has no sessions
 	}
 	sub, incl := activeSubNetwork(t, net, inc.Active)
-	batch, err := AllocateGeneric(sub)
+	cold, err := AllocateGeneric(sub)
 	if err != nil {
-		t.Fatalf("trial %d epoch %d: batch: %v", trial, epoch, err)
+		t.Fatalf("trial %d epoch %d: cold fill: %v", trial, epoch, err)
+	}
+	got := netmodel.NewAllocation(sub)
+	var ref *netmodel.Allocation
+	if allMax(sub) {
+		ref = referenceFill(t, sub)
 	}
 	si := 0
 	for i := range incl {
@@ -76,31 +84,34 @@ func compareEpochToBatch(t *testing.T, trial, epoch int, net *netmodel.Network, 
 			continue
 		}
 		for x, k := range incl[i] {
-			got := inc.Rate(i, k)
-			want := batch.Alloc.Rate(si, x)
-			if math.Abs(got-want) > netmodel.Eps {
-				t.Fatalf("trial %d epoch %d r%d,%d: incremental %v, batch %v", trial, epoch, i+1, k+1, got, want)
+			r := inc.Rate(i, k)
+			got.SetRate(si, x, r)
+			if want := cold.Alloc.Rate(si, x); math.Abs(r-want) > netmodel.Eps {
+				t.Fatalf("trial %d epoch %d r%d,%d: incremental %v, cold %v", trial, epoch, i+1, k+1, r, want)
+			}
+			if ref != nil && math.Abs(r-ref.Rate(si, x)) > netmodel.Eps {
+				t.Fatalf("trial %d epoch %d r%d,%d: incremental %v, reference %v", trial, epoch, i+1, k+1, r, ref.Rate(si, x))
 			}
 			gc, ok := inc.Cause(i, k)
 			if !ok {
 				t.Fatalf("trial %d epoch %d r%d,%d: active receiver has no cause", trial, epoch, i+1, k+1)
 			}
-			wc := batch.Causes[netmodel.ReceiverID{Session: si, Receiver: x}]
-			if gc.Kind != wc.Kind || gc.Round != wc.Round {
-				t.Fatalf("trial %d epoch %d r%d,%d: cause %+v, batch %+v", trial, epoch, i+1, k+1, gc, wc)
-			}
-			// The cascade's attributed link depends on the batch filler's
-			// map iteration order, so only link-frozen causes pin it.
-			if gc.Kind == CauseLink && gc.Link != wc.Link {
-				t.Fatalf("trial %d epoch %d r%d,%d: bottleneck link %d, batch %d", trial, epoch, i+1, k+1, gc.Link, wc.Link)
+			if wc := cold.Causes[si][x]; gc != wc {
+				t.Fatalf("trial %d epoch %d r%d,%d: cause %+v, cold %+v", trial, epoch, i+1, k+1, gc, wc)
 			}
 		}
 		si++
 	}
+	if err := got.Feasible(); err != nil {
+		t.Fatalf("trial %d epoch %d: infeasible: %v", trial, epoch, err)
+	}
+	if id, ok := CheckSaturation(got); !ok {
+		t.Fatalf("trial %d epoch %d: %v can still rise", trial, epoch, id)
+	}
 }
 
-// TestIncrementalMatchesBatchFullMembership: the initial fill equals
-// the batch allocator on the whole network.
+// TestIncrementalMatchesBatchFullMembership: the initial fill passes
+// compareEpochToBatch on the whole network.
 func TestIncrementalMatchesBatchFullMembership(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	for trial := 0; trial < 80; trial++ {
@@ -120,7 +131,7 @@ func TestIncrementalMatchesBatchFullMembership(t *testing.T) {
 // epoch-incremental acceptance property: over random networks
 // (occasionally with redundancy link-rate functions) and random
 // join/leave sequences, every epoch's incremental allocation equals a
-// from-scratch batch AllocateGeneric on the active sub-network — rates
+// cold AllocateGeneric on the active sub-network — rates
 // and bottleneck causes.
 func TestIncrementalMatchesBatchOnMembershipSequences(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 34))
@@ -161,9 +172,44 @@ func TestIncrementalMatchesBatchOnMembershipSequences(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesBatchSharedRedundancy runs the membership
+// property with v = SharedScaledMax on every session, whose link rate
+// depends on how many receivers a link serves: a departed receiver must
+// not count, or a link would keep charging the redundancy of a
+// receiver that left.
+func TestIncrementalMatchesBatchSharedRedundancy(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 44))
+	for trial := 0; trial < 60; trial++ {
+		net := randNetwork(rng)
+		fns := make([]netmodel.LinkRateFunc, net.NumSessions())
+		for i := range fns {
+			fns[i] = netmodel.SharedScaledMax(1 + 2*rng.Float64())
+		}
+		net, err := net.WithLinkRates(fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := NewIncremental(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := net.ReceiverIDs()
+		for epoch := 0; epoch <= 8; epoch++ {
+			if epoch > 0 {
+				id := ids[rng.IntN(len(ids))]
+				inc.SetActive(id.Session, id.Receiver, rng.IntN(2) == 0)
+			}
+			if err := inc.Fill(); err != nil {
+				t.Fatalf("trial %d epoch %d: %v", trial, epoch, err)
+			}
+			compareEpochToBatch(t, trial, epoch, net, inc)
+		}
+	}
+}
+
 // TestIncrementalWarmStartLeaveOnly exercises the warm-started path
 // specifically: pure leave sequences, one receiver per epoch, each
-// epoch checked against batch.
+// epoch checked against the cold references.
 func TestIncrementalWarmStartLeaveOnly(t *testing.T) {
 	rng := rand.New(rand.NewPCG(35, 36))
 	for trial := 0; trial < 60; trial++ {

@@ -55,10 +55,10 @@ func TestKappaCap(t *testing.T) {
 	res := mustAllocate(t, b.MustBuild())
 	wantRate(t, res.Alloc, 0, 0, 2)
 	wantRate(t, res.Alloc, 1, 0, 8)
-	if c := res.Causes[netmodel.ReceiverID{Session: 0, Receiver: 0}]; c.Kind != CauseMaxRate || c.Link != -1 {
+	if c := res.Causes[0][0]; c.Kind != CauseMaxRate || c.Link != -1 {
 		t.Errorf("cause for capped receiver = %+v", c)
 	}
-	if c := res.Causes[netmodel.ReceiverID{Session: 1, Receiver: 0}]; c.Kind != CauseLink || c.Link != 0 {
+	if c := res.Causes[1][0]; c.Kind != CauseLink || c.Link != 0 {
 		t.Errorf("cause for link-bound receiver = %+v", c)
 	}
 }
@@ -148,11 +148,11 @@ func TestFigure2SingleRate(t *testing.T) {
 	wantRate(t, a, 1, 0, 3)
 
 	// r1,2 froze on l2; r1,1 and r1,3 followed as single-rate peers.
-	if c := res.Causes[netmodel.ReceiverID{Session: 0, Receiver: 1}]; c.Kind != CauseLink || c.Link != 1 {
+	if c := res.Causes[0][1]; c.Kind != CauseLink || c.Link != 1 {
 		t.Errorf("r1,2 cause = %+v", c)
 	}
 	for _, k := range []int{0, 2} {
-		if c := res.Causes[netmodel.ReceiverID{Session: 0, Receiver: k}]; c.Kind != CauseSessionPeer {
+		if c := res.Causes[0][k]; c.Kind != CauseSessionPeer {
 			t.Errorf("r1,%d cause = %+v, want single-rate-peer", k+1, c)
 		}
 	}

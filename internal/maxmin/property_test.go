@@ -295,7 +295,8 @@ func TestSingleSessionFlipNeverHurtsOwnReceivers(t *testing.T) {
 	}
 }
 
-// TestDeterminism: Allocate is a pure function of the network.
+// TestDeterminism: Allocate is a pure function of the network, rates
+// and bottleneck causes alike.
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 28))
 	for trial := 0; trial < 40; trial++ {
@@ -311,6 +312,9 @@ func TestDeterminism(t *testing.T) {
 		for _, id := range net.ReceiverIDs() {
 			if r1.Alloc.RateOf(id) != r2.Alloc.RateOf(id) {
 				t.Fatal("non-deterministic allocation")
+			}
+			if c1, c2 := r1.Causes[id.Session][id.Receiver], r2.Causes[id.Session][id.Receiver]; c1 != c2 {
+				t.Fatalf("trial %d %v: causes %+v and %+v", trial, id, c1, c2)
 			}
 		}
 	}

@@ -82,9 +82,11 @@ func AllocateWeighted(net *netmodel.Network, w Weights) (*Result, error) {
 	if err := w.validate(net); err != nil {
 		return nil, err
 	}
-	f := newFiller(net)
-	f.weights = w
-	return f.run()
+	flat := make([]float64, 0, net.NumReceivers())
+	for _, ws := range w {
+		flat = append(flat, ws...)
+	}
+	return allocate(net, true, flat)
 }
 
 // NormalizedVector returns the ordered vector of a_{i,k}/w_{i,k}, the

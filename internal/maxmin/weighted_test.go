@@ -68,7 +68,7 @@ func TestWeightedKappa(t *testing.T) {
 	}
 	wantRate(t, res.Alloc, 0, 0, 6)
 	wantRate(t, res.Alloc, 1, 0, 94)
-	if c := res.Causes[netmodel.ReceiverID{Session: 0, Receiver: 0}]; c.Kind != CauseMaxRate {
+	if c := res.Causes[0][0]; c.Kind != CauseMaxRate {
 		t.Fatalf("cause = %+v", c)
 	}
 }
@@ -104,7 +104,9 @@ func TestWeightedSamePathProportional(t *testing.T) {
 }
 
 // TestWeightedMulticast: weights interact with the session max link
-// rate: the session's usage follows its fastest (weighted) receiver.
+// rate: the session's usage follows its fastest (weighted) receiver,
+// and a receiver below it rides the session's layers across the shared
+// link for free, so the link does not stop it.
 func TestWeightedMulticast(t *testing.T) {
 	b := netmodel.NewBuilder()
 	shared := b.AddLink(12)
@@ -116,14 +118,22 @@ func TestWeightedMulticast(t *testing.T) {
 	b.SetPath(s2, 0, shared)
 	net := b.MustBuild()
 	// s1's receivers weighted 2 and 1; s2 weighted 1.
-	// u_shared = max(2λ, λ) + λ = 3λ = 12 -> λ=4: rates (8, 4; 4).
+	// u_shared = max(2λ, λ) + λ = 3λ = 12 -> λ=4 freezes r1,1 at 8 and
+	// r2,1 at 4. r1,2 (4 at λ=4) adds nothing to u_shared until it
+	// passes 8, and its tail has room, so it rises to 8: rates (8, 8; 4).
 	res, err := AllocateWeighted(net, Weights{{2, 1}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRate(t, res.Alloc, 0, 0, 8)
-	wantRate(t, res.Alloc, 0, 1, 4)
+	wantRate(t, res.Alloc, 0, 1, 8)
 	wantRate(t, res.Alloc, 1, 0, 4)
+	if c := res.Causes[0][1]; c.Kind != CauseLink || c.Link != shared || c.Round != 1 {
+		t.Errorf("r1,2 cause = %+v, want the shared link in round 1", c)
+	}
+	if id, ok := CheckSaturation(res.Alloc); !ok {
+		t.Errorf("%v can still rise", id)
+	}
 }
 
 // TestWeightedNormalizedLemma1: random feasible allocations are
@@ -152,6 +162,9 @@ func TestWeightedNormalizedLemma1(t *testing.T) {
 		}
 		if err := res.Alloc.Feasible(); err != nil {
 			t.Fatalf("infeasible: %v", err)
+		}
+		if id, ok := CheckSaturation(res.Alloc); !ok {
+			t.Fatalf("trial %d: %v can still rise", trial, id)
 		}
 		ref := NormalizedVector(res.Alloc, w)
 		for x := 0; x < 3; x++ {

@@ -1084,9 +1084,14 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 					invLog := 0.0
 					switch spec.Kind {
 					case Bernoulli:
+						// Where 1-Loss rounds to 1 (Loss <= 2^-54) the link
+						// drops nothing at float64 precision, but log(1-Loss)
+						// is 0 and the gap samplers' int64(log(u)*invLog)
+						// would overflow to a gap of 1, dropping every
+						// packet; such a link admits always.
 						if spec.LayerLoss != nil {
 							ek = ekLayerLoss
-						} else if spec.Loss > 0 {
+						} else if spec.Loss > 0 && 1-spec.Loss != 1 {
 							ek = ekBernoulli
 							invLog = 1 / math.Log(1-spec.Loss)
 						}

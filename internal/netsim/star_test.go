@@ -119,6 +119,26 @@ func TestStarValidation(t *testing.T) {
 	})
 }
 
+// TestTinyLossAdmitsAll: a Bernoulli link whose 1-Loss rounds to 1
+// drops nothing, so its runs equal the loss-free ones exactly, on the
+// shared link and on the fan-out links, under every protocol.
+func TestTinyLossAdmitsAll(t *testing.T) {
+	for _, kind := range protocol.Kinds() {
+		want := mustRun(t, star(t, 4, 0, 0, kind, 4, 2000, 1))
+		for _, loss := range []float64{1e-17, 1e-20, 1e-300} {
+			for where, cfg := range map[string]Config{
+				"shared":  star(t, 4, loss, 0, kind, 4, 2000, 1),
+				"fan-out": star(t, 4, 0, loss, kind, 4, 2000, 1),
+			} {
+				if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v: loss %g on the %s links changed the run: shared link crossed %d, dropped %d",
+						kind, loss, where, got.Links[0].Crossed, got.Links[0].Dropped)
+				}
+			}
+		}
+	}
+}
+
 // TestStarExtensionValidation: the extension knobs — leave latency,
 // per-layer (priority) loss tables and the link kind — are validated
 // too.
@@ -204,7 +224,7 @@ func TestStarIndependentLossCreatesRedundancy(t *testing.T) {
 // 8 comparison at one operating point: Coordinated beats Uncoordinated
 // and stays below the paper's 2.5 bound. (Deterministic tracks
 // Coordinated closely in the idealized zero-delay model because
-// same-level receivers count identical packet streams; see DESIGN.md.)
+// same-level receivers count identical packet streams.)
 func TestStarCoordinationReducesRedundancy(t *testing.T) {
 	point := func(k protocol.Kind) float64 {
 		return meanStarRedundancy(t, star(t, 50, 0.0001, 0.04, k, 8, 50000, 17), 5)

@@ -3,9 +3,9 @@
 // networks) used by the experiment harness, tests and benchmarks.
 //
 // Figure networks are reconstructed from the paper's link annotations;
-// DESIGN.md documents the reconstruction. Each returns a Named wrapper
-// exposing link indices by their paper names (l1..l4) so experiments read
-// like the text.
+// each constructor's comment gives the link incidence it reconstructs.
+// Each returns a Named wrapper exposing link indices by their paper
+// names (l1..l4) so experiments read like the text.
 package topology
 
 import (
@@ -140,7 +140,8 @@ func Figure4(factor float64) *Named {
 // Figure3a builds a network exhibiting Figure 3(a)'s phenomenon: removing
 // receiver r3,2 *decreases* its session peer r3,1 and increases r1,1.
 // (The paper's own capacities are not fully legible in the archival copy;
-// this reconstruction reproduces the phenomenon exactly — see DESIGN.md.)
+// this reconstruction reproduces the phenomenon exactly, as
+// TestFigure3aRemovalShifts checks.)
 //
 // Abstract incidence: lA(c=4):{r2,1 r3,2}, lB(c=10):{r2,1 r3,1},
 // lD(c=5):{r1,1 r3,2}.
