@@ -76,7 +76,7 @@ func realMain() int {
 // scenario-driver path.
 func dispatch(f *cliutil.SimFlags, ob *cliutil.Observability, scenarios string, timeseries bool) error {
 	if timeseries {
-		return runTimeseries(os.Stdout, f.Spec, f.Sweep, ob)
+		return runTimeseries(os.Stdout, f.Declarative, ob)
 	}
 	if ran, err := f.RunObserved(os.Stdout, ob); ran {
 		return err
@@ -108,16 +108,17 @@ var scenarios = []struct {
 	{"planetary", experiments.NetsimPlanetary},
 }
 
-// runTimeseries is the -timeseries path: load the spec, make sure the
-// timeseries stage is selected, run, and emit the long-format CSV.
-func runTimeseries(w io.Writer, specPath, sweepPath string, ob *cliutil.Observability) error {
-	if specPath == "" {
+// runTimeseries is the -timeseries path: load the spec (with any
+// -workers budget), make sure the timeseries stage is selected, run,
+// and emit the long-format CSV.
+func runTimeseries(w io.Writer, d *cliutil.Declarative, ob *cliutil.Observability) error {
+	if d.Spec == "" {
 		return fmt.Errorf("-timeseries needs -spec (a scenario file with a probe block)")
 	}
-	if sweepPath != "" {
+	if d.Sweep != "" {
 		return fmt.Errorf("-timeseries applies to -spec runs, not -sweep")
 	}
-	spec, err := scen.LoadFile(specPath)
+	spec, err := d.LoadSpec()
 	if err != nil {
 		return err
 	}
@@ -127,7 +128,7 @@ func runTimeseries(w io.Writer, specPath, sweepPath string, ob *cliutil.Observab
 			return err
 		}
 	}
-	ob.NoteSpec(specPath)
+	ob.NoteSpec(d.Spec)
 	res, err := scen.RunObserved(spec, ob.Observe())
 	if err != nil {
 		return err

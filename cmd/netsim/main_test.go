@@ -1,11 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mlfair/internal/cliutil"
 	"mlfair/internal/experiments"
 	scen "mlfair/internal/scenario"
 )
@@ -66,7 +68,7 @@ func TestSpecReproducesLargeTopoGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, f := range []string{"scalefree.json", "fattree.json"} {
-		if err := scen.RunFile(&b, filepath.Join("testdata", f)); err != nil {
+		if err := runDeclarative(&b, &cliutil.Declarative{Spec: filepath.Join("testdata", f)}); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
 	}
@@ -85,7 +87,7 @@ func TestSpecReproducesLargeTopoGolden(t *testing.T) {
 // and the four fairness-property verdicts.
 func TestSpecAuditEndToEnd(t *testing.T) {
 	var b strings.Builder
-	if err := scen.RunFile(&b, filepath.Join("testdata", "audit.json")); err != nil {
+	if err := runDeclarative(&b, &cliutil.Declarative{Spec: filepath.Join("testdata", "audit.json")}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -155,37 +157,78 @@ func TestSweepSpecsMatchBuilders(t *testing.T) {
 	}
 }
 
+// runDeclarative runs a -spec or -sweep invocation through the CLI's
+// one declarative path.
+func runDeclarative(w *strings.Builder, d *cliutil.Declarative) error {
+	ran, err := d.Run(w)
+	if err == nil && !ran {
+		err = fmt.Errorf("no declarative input in %+v", d)
+	}
+	return err
+}
+
 // TestSweepCSVGolden: `netsim -sweep` on each committed sweep file
-// reproduces its golden CSV byte for byte — the sweep layer's
-// end-to-end determinism acceptance. Regenerate after an intentional
-// change with:
+// reproduces its golden CSV byte for byte at -workers 1 and 3, and the
+// background sweep does so again as three -shard processes joined with
+// -merge — the sweep layer's end-to-end determinism acceptance, and
+// the point scheduler's reference outside itself. Regenerate after an
+// intentional change with:
 //
 //	UPDATE_GOLDEN=1 go test ./cmd/netsim -run TestSweepCSVGolden
 func TestSweepCSVGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replication-heavy goldens in -short mode")
 	}
+	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, c := range sweepCases() {
-		var b strings.Builder
-		if err := scen.RunSweepFile(&b, filepath.Join("testdata", "sweeps", c.name+".json"), "csv"); err != nil {
-			t.Fatal(err)
-		}
+		path := filepath.Join("testdata", "sweeps", c.name+".json")
 		golden := filepath.Join("testdata", "sweeps", c.name+".golden.csv")
-		if os.Getenv("UPDATE_GOLDEN") != "" {
-			if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+		for _, workers := range []int{1, 3} {
+			var b strings.Builder
+			if err := runDeclarative(&b, &cliutil.Declarative{Sweep: path, Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s updated (%d bytes)", golden, b.Len())
-			continue
+			if update {
+				if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%s updated (%d bytes)", golden, b.Len())
+				break
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != string(want) {
+				t.Errorf("%s at -workers %d drifted from golden (run with UPDATE_GOLDEN=1 if intentional):\n--- got ---\n%s\n--- want ---\n%s",
+					c.name, workers, b.String(), want)
+			}
 		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
+	}
+	if update {
+		return
+	}
+
+	path, dir := filepath.Join("testdata", "sweeps", "background.json"), t.TempDir()
+	var shards []string
+	for i := 0; i < 3; i++ {
+		file := filepath.Join(dir, fmt.Sprintf("%d.shard", i))
+		d := &cliutil.Declarative{Sweep: path, Shard: fmt.Sprintf("%d/3", i), ShardFile: file}
+		if err := runDeclarative(&strings.Builder{}, d); err != nil {
 			t.Fatal(err)
 		}
-		if b.String() != string(want) {
-			t.Errorf("%s drifted from golden (run with UPDATE_GOLDEN=1 if intentional):\n--- got ---\n%s\n--- want ---\n%s",
-				c.name, b.String(), want)
-		}
+		shards = append(shards, file)
+	}
+	var b strings.Builder
+	if err := runDeclarative(&b, &cliutil.Declarative{Sweep: path, Merge: strings.Join(shards, ",")}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "sweeps", "background.golden.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("background merged from 3 shards drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", b.String(), want)
 	}
 }
 
@@ -237,7 +280,7 @@ func TestPlanetaryGolden(t *testing.T) {
 // invocations.
 func TestTimeseriesFlag(t *testing.T) {
 	var b strings.Builder
-	if err := runTimeseries(&b, filepath.Join("testdata", "timeseries.json"), "", nil); err != nil {
+	if err := runTimeseries(&b, &cliutil.Declarative{Spec: filepath.Join("testdata", "timeseries.json")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(b.String(), "\n")
@@ -247,15 +290,15 @@ func TestTimeseriesFlag(t *testing.T) {
 	if len(lines) < 10 {
 		t.Fatalf("only %d CSV lines", len(lines))
 	}
-	if err := runTimeseries(&b, "", "", nil); err == nil {
+	if err := runTimeseries(&b, &cliutil.Declarative{}, nil); err == nil {
 		t.Fatal("-timeseries without -spec accepted")
 	}
-	if err := runTimeseries(&b, "x.json", "y.json", nil); err == nil {
+	if err := runTimeseries(&b, &cliutil.Declarative{Spec: "x.json", Sweep: "y.json"}, nil); err == nil {
 		t.Fatal("-timeseries with -sweep accepted")
 	}
 	// audit.json carries no probe block: the appended timeseries stage
 	// must fail validation, not run silently without windows.
-	if err := runTimeseries(&b, filepath.Join("testdata", "audit.json"), "", nil); err == nil {
+	if err := runTimeseries(&b, &cliutil.Declarative{Spec: filepath.Join("testdata", "audit.json")}, nil); err == nil {
 		t.Fatal("-timeseries on a probe-less spec accepted")
 	}
 }
@@ -303,7 +346,7 @@ func TestSweepJSONFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := scen.RunSweepFile(&b, path, "json"); err != nil {
+	if err := runDeclarative(&b, &cliutil.Declarative{Sweep: path, Format: "json"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"simulated"`, `"sketch"`, `"best_rate"`, `"shared_redundancy"`} {
@@ -311,7 +354,7 @@ func TestSweepJSONFormat(t *testing.T) {
 			t.Errorf("json sweep output missing %s:\n%s", want, b.String())
 		}
 	}
-	if err := scen.RunSweepFile(&b, path, "yaml"); err == nil {
+	if err := runDeclarative(&b, &cliutil.Declarative{Sweep: path, Format: "yaml"}); err == nil {
 		t.Error("unknown sweep format accepted")
 	}
 }

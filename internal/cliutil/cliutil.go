@@ -25,7 +25,9 @@ type Declarative struct {
 	Sweep  string
 	Format string
 	// Workers is the parallel worker budget shared by the scenario
-	// drivers and the sweep schedulers (0 = GOMAXPROCS).
+	// drivers, -spec runs and the sweep scheduler. 0 keeps a -spec or
+	// -sweep file's own replications.workers (and from there
+	// GOMAXPROCS); a negative budget is rejected.
 	Workers int
 	// Shard ("i/n") restricts a -sweep run to points with id mod n == i,
 	// so n independent processes cover the grid; each writes its slice
@@ -50,20 +52,13 @@ func RegisterDeclarative(fs *flag.FlagSet) *Declarative {
 	fs.StringVar(&d.Spec, "spec", "", "run a declarative scenario.Spec JSON file (docs/SCENARIOS.md)")
 	fs.StringVar(&d.Sweep, "sweep", "", "run a declarative scenario.Sweep JSON file and emit its result table (docs/SWEEPS.md)")
 	fs.StringVar(&d.Format, "format", "csv", "-sweep output format: csv | json")
-	fs.IntVar(&d.Workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	fs.IntVar(&d.Workers, "workers", 0, "parallel workers (0 = a -spec/-sweep file's own budget, else GOMAXPROCS)")
 	fs.StringVar(&d.Shard, "shard", "", "with -sweep: run only shard i of n, as \"i/n\" (see docs/SWEEPS.md, Distributed execution)")
 	fs.StringVar(&d.Checkpoint, "checkpoint", "", "with -sweep: directory for durable progress (crash-safe spill shards + checkpoint file)")
 	fs.BoolVar(&d.Resume, "resume", false, "with -sweep -checkpoint: restore the directory's progress and run only the missing cells")
 	fs.StringVar(&d.ShardFile, "shardfile", "", "with -sweep: write the run's result slice as a binary shard file instead of a table")
 	fs.StringVar(&d.Merge, "merge", "", "with -sweep: merge comma-separated shard files into the full result table instead of simulating")
 	return d
-}
-
-// distributed reports whether any distributed sweep-execution flag is
-// in play, routing the -sweep run through sweepexec instead of the
-// in-process scheduler.
-func (d *Declarative) distributed() bool {
-	return d.Shard != "" || d.Checkpoint != "" || d.Resume || d.ShardFile != "" || d.Merge != ""
 }
 
 // parseShard parses "i/n".
@@ -95,8 +90,11 @@ func (d *Declarative) RunObserved(w io.Writer, o *Observability) (bool, error) {
 	if d.Spec != "" && d.Sweep != "" {
 		return true, fmt.Errorf("-spec and -sweep are mutually exclusive")
 	}
-	if d.distributed() && d.Sweep == "" {
+	if d.Sweep == "" && (d.Shard != "" || d.Checkpoint != "" || d.Resume || d.ShardFile != "" || d.Merge != "") {
 		return true, fmt.Errorf("-shard/-checkpoint/-resume/-shardfile/-merge require -sweep")
+	}
+	if d.Workers < 0 {
+		return true, fmt.Errorf("-workers %d: want >= 0", d.Workers)
 	}
 	var ob *scenario.Observe
 	note := func(path string) {
@@ -111,23 +109,39 @@ func (d *Declarative) RunObserved(w io.Writer, o *Observability) (bool, error) {
 			return true, fmt.Errorf("-format applies to -sweep only (a -spec run emits its text report)")
 		}
 		note(d.Spec)
-		return true, scenario.RunFileObserved(w, d.Spec, ob)
-	case d.Sweep != "" && d.distributed():
-		note(d.Sweep)
-		return true, d.runDistributed(w, o, ob)
+		spec, err := d.LoadSpec()
+		if err != nil {
+			return true, err
+		}
+		res, err := scenario.RunObserved(spec, ob)
+		if err != nil {
+			return true, err
+		}
+		return true, res.WriteReport(w)
 	case d.Sweep != "":
 		note(d.Sweep)
-		return true, scenario.RunSweepFileObserved(w, d.Sweep, d.Format, ob)
+		return true, d.runSweep(w, o, ob)
 	}
 	return false, nil
 }
 
-// runDistributed drives the sweepexec paths: merging shard files, or
-// executing this process's (possibly sharded, possibly checkpointed)
-// slice of the sweep. The sweep file is loaded through the scenario
-// loader, so malformed JSON reports with file:line:col here exactly as
-// it does for a plain -sweep run.
-func (d *Declarative) runDistributed(w io.Writer, o *Observability, ob *scenario.Observe) error {
+// LoadSpec loads the -spec file. A nonzero -workers replaces its
+// replications.workers, and the spec is validated again.
+func (d *Declarative) LoadSpec() (*scenario.Spec, error) {
+	spec, err := scenario.LoadFile(d.Spec)
+	if err != nil || d.Workers == 0 {
+		return spec, err
+	}
+	spec.Replications.Workers = d.Workers
+	return spec, spec.Validate()
+}
+
+// runSweep runs a -sweep: it merges shard files, or runs this process's
+// slice of the sweep (all of it unless -shard), checkpointed when
+// asked, on the one point scheduler behind sweepexec.Run. The sweep
+// file is loaded through the scenario loader, so malformed JSON
+// reports with file:line:col.
+func (d *Declarative) runSweep(w io.Writer, o *Observability, ob *scenario.Observe) error {
 	if d.Format != "" && d.Format != "csv" && d.Format != "json" {
 		return fmt.Errorf("unknown sweep output format %q (want csv or json)", d.Format)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -208,5 +210,83 @@ func TestDistributedSweepLoadError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bad.json:3:13:") {
 		t.Fatalf("error lacks file:line:col: %v", err)
+	}
+}
+
+// TestDeclarativeWorkersReachSweep: -workers is the budget of a plain
+// -sweep run. A sweep of GOMAXPROCS+1 points (at least 3) whose file
+// asks for 1 worker runs GOMAXPROCS+1 point workers, as the final
+// progress line reports.
+func TestDeclarativeWorkersReachSweep(t *testing.T) {
+	workers := runtime.GOMAXPROCS(0) + 1
+	seeds := make([]string, max(3, workers))
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
+	}
+	sweepPath := writeFile(t, "sweep.json", fmt.Sprintf(`{
+  "base": {
+    "topology": {"kind": "star", "receivers": 2},
+    "defaultLink": {"kind": "bernoulli", "loss": 0.05},
+    "packets": 200,
+    "replications": {"n": 1, "workers": 1},
+    "seed": 11
+  },
+  "axes": [{"field": "seed", "values": [%s]}]
+}
+`, strings.Join(seeds, ", ")))
+	o := &Observability{Progress: true}
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var status strings.Builder
+	o.progress.W = &status
+	var b strings.Builder
+	if ran, err := (&Declarative{Sweep: sweepPath, Workers: workers}).RunObserved(&b, o); !ran || err != nil {
+		t.Fatalf("sweep run: ran=%v err=%v", ran, err)
+	}
+	if err := o.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(status.String()), "\r")
+	final := lines[len(lines)-1]
+	if !strings.Contains(final, "done in") || !strings.Contains(final, fmt.Sprintf("| %d workers ", workers)) {
+		t.Fatalf("final progress line %q does not report %d workers", final, workers)
+	}
+}
+
+// TestDeclarativeLoadSpecWorkers: a nonzero -workers replaces the
+// spec's replications.workers, 0 keeps the file's, and a negative one
+// fails validation.
+func TestDeclarativeLoadSpecWorkers(t *testing.T) {
+	specPath := writeFile(t, "spec.json", testSpec)
+	for _, c := range []struct{ flag, want int }{{0, 2}, {1, 1}, {5, 5}} {
+		spec, err := (&Declarative{Spec: specPath, Workers: c.flag}).LoadSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Replications.Workers != c.want {
+			t.Fatalf("-workers %d: spec runs %d workers, want %d", c.flag, spec.Replications.Workers, c.want)
+		}
+	}
+	if _, err := (&Declarative{Spec: specPath, Workers: -1}).LoadSpec(); err == nil {
+		t.Fatal("-workers -1 accepted")
+	}
+}
+
+// TestDeclarativeRejectsNegativeWorkers: a negative -workers is an
+// error on every declarative path, never a silent default budget.
+func TestDeclarativeRejectsNegativeWorkers(t *testing.T) {
+	specPath := writeFile(t, "spec.json", testSpec)
+	sweepPath := writeFile(t, "sweep.json", testSweep)
+	for _, d := range []*Declarative{
+		{Spec: specPath, Workers: -3},
+		{Sweep: sweepPath, Workers: -3},
+		{Sweep: sweepPath, Workers: -3, Shard: "0/1"},
+		{Sweep: sweepPath, Workers: -3, Checkpoint: filepath.Join(t.TempDir(), "ck")},
+	} {
+		var b strings.Builder
+		if ran, err := d.Run(&b); !ran || err == nil || b.Len() != 0 {
+			t.Fatalf("%+v: ran=%v err=%v output %q", *d, ran, err, b.String())
+		}
 	}
 }

@@ -14,12 +14,14 @@ import (
 
 // Every driver in this file is declarative: it builds a scenario.Spec
 // or scenario.Sweep, compiles it through the scenario layer, and
-// either runs the built-in stages (scenario.RunCompiled /
-// scenario.RunSweep) or streams the compiled netsim config through
-// driver-specific aggregation. The same specs and sweeps, written as
-// JSON, drive `cmd/netsim -spec` and `cmd/netsim -sweep` — see
-// docs/SCENARIOS.md and docs/SWEEPS.md; the committed sweep files
-// under cmd/netsim/testdata/sweeps are pinned to the builders here.
+// either runs the built-in stages (scenario.RunCompiled, or
+// scenario.RunSweepObserved on the one point scheduler, reading point
+// ids and coordinates back from the result store) or streams the
+// compiled netsim config through driver-specific aggregation. The
+// same specs and sweeps, written as JSON, drive `cmd/netsim -spec` and
+// `cmd/netsim -sweep` — see docs/SCENARIOS.md and docs/SWEEPS.md; the
+// committed sweep files under cmd/netsim/testdata/sweeps are pinned to
+// the builders here.
 
 // NetsimOptions sizes the general-engine scenario drivers.
 type NetsimOptions struct {
@@ -75,11 +77,36 @@ func protocolValues() []any {
 	return out
 }
 
+// sweepRow is one point of a finished sweep as its result store holds
+// it: the row id and the coordinates.
+type sweepRow struct {
+	ID     int
+	Coords []string
+}
+
+// sweepRows reads a finished sweep's points back from its result
+// store, in row order.
+func sweepRows(res *scenario.SweepResult) ([]sweepRow, error) {
+	ids := res.Sim.Points()
+	rows := make([]sweepRow, len(ids))
+	for i, id := range ids {
+		coords, err := res.Sim.Coords(id)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = sweepRow{ID: id, Coords: coords}
+	}
+	return rows, nil
+}
+
 // writeSweepSeries renders a two-axis sweep — series axis first (e.g.
 // protocol), numeric x axis second — as a trace series table of one
 // output metric's per-point mean.
 func writeSweepSeries(w io.Writer, res *scenario.SweepResult, title, xLabel, metric string) error {
-	pts := res.Points
+	pts, err := sweepRows(res)
+	if err != nil {
+		return err
+	}
 	if len(pts) == 0 || len(pts[0].Coords) < 2 {
 		return fmt.Errorf("experiments: series rendering needs a two-axis sweep (have %d axes)", len(res.Sweep.Axes))
 	}
@@ -171,7 +198,11 @@ func NetsimStar(w io.Writer, o NetsimOptions) error {
 		return err
 	}
 	t := trace.NewTable(sw.Name, "protocol", "shared redundancy", "ci95", "receiver goodput", "ci95")
-	for _, p := range res.Points {
+	rows, err := sweepRows(res)
+	if err != nil {
+		return err
+	}
+	for _, p := range rows {
 		red, err := res.Cell(p.ID, "root_redundancy")
 		if err != nil {
 			return err
@@ -397,7 +428,11 @@ func NetsimChurn(w io.Writer, o NetsimOptions) error {
 		return err
 	}
 	t := trace.NewTable(sw.Name, "scenario", "mean receiver rate", "ci95", "shared redundancy", "ci95")
-	for _, p := range res.Points {
+	rows, err := sweepRows(res)
+	if err != nil {
+		return err
+	}
+	for _, p := range rows {
 		name := "churning"
 		if p.Coords[0] == "0" {
 			name = "stable"
@@ -451,7 +486,11 @@ func NetsimBackground(w io.Writer, o NetsimOptions) error {
 		return err
 	}
 	t := trace.NewTable(sw.Name, "background load", "best receiver rate", "ci95", "shared redundancy", "ci95")
-	for _, p := range res.Points {
+	rows, err := sweepRows(res)
+	if err != nil {
+		return err
+	}
+	for _, p := range rows {
 		best, err := res.Cell(p.ID, "best_rate")
 		if err != nil {
 			return err
@@ -529,7 +568,11 @@ func NetsimConvergence(w io.Writer, o NetsimOptions) error {
 	}
 	t := trace.NewTable(sw.Name,
 		"protocol", "scenario", "time to fair", "ci95", "frac time fair", "oscillation")
-	for _, p := range res.Points {
+	rows, err := sweepRows(res)
+	if err != nil {
+		return err
+	}
+	for _, p := range rows {
 		name := "churning"
 		if p.Coords[1] == "0" {
 			name = "stable"

@@ -157,7 +157,7 @@ func TestWriteSweepSeriesNeedsTwoAxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scenario.RunSweep(sw)
+	res, err := scenario.RunSweepObserved(sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

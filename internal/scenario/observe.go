@@ -130,11 +130,11 @@ func fmtSeconds(s float64) string {
 	}
 }
 
-// Tracker drives an Observe's Progress callback: atomic tallies fed
+// tracker drives an Observe's Progress callback: atomic tallies fed
 // from worker goroutines plus one reporter goroutine that snapshots
 // them on a ticker. All methods are nil-receiver safe so execution
 // code never branches on whether observation is attached.
-type Tracker struct {
+type tracker struct {
 	ob          *Observe
 	start       time.Time
 	totalPoints int
@@ -145,8 +145,6 @@ type Tracker struct {
 	events      atomic.Int64
 	busyNanos   atomic.Int64
 	skipped     atomic.Int64
-	spills      atomic.Int64
-	ckptCells   atomic.Int64
 	// inflight[w] holds worker w's current point-start time in unix
 	// nanos (0 = idle), so utilization counts in-progress work too.
 	inflight []atomic.Int64
@@ -154,13 +152,13 @@ type Tracker struct {
 	wg       sync.WaitGroup
 }
 
-// NewTracker starts the reporter, or returns nil (a valid no-op
-// Tracker) when ob carries no Progress callback.
-func NewTracker(ob *Observe, totalPoints, totalCells, workers int) *Tracker {
+// newTracker starts the reporter, or returns nil (a valid no-op
+// tracker) when ob carries no Progress callback.
+func newTracker(ob *Observe, totalPoints, totalCells, workers int) *tracker {
 	if ob == nil || ob.Progress == nil {
 		return nil
 	}
-	tr := &Tracker{
+	tr := &tracker{
 		ob:          ob,
 		start:       time.Now(),
 		totalPoints: totalPoints,
@@ -174,7 +172,7 @@ func NewTracker(ob *Observe, totalPoints, totalCells, workers int) *Tracker {
 	return tr
 }
 
-func (tr *Tracker) loop() {
+func (tr *tracker) loop() {
 	defer tr.wg.Done()
 	iv := tr.ob.Interval
 	if iv <= 0 {
@@ -193,7 +191,7 @@ func (tr *Tracker) loop() {
 }
 
 // Cell records one finished replication and its engine event count.
-func (tr *Tracker) Cell(events int64) {
+func (tr *tracker) Cell(events int64) {
 	if tr == nil {
 		return
 	}
@@ -202,14 +200,14 @@ func (tr *Tracker) Cell(events int64) {
 }
 
 // PointStart / PointEnd bracket worker w's execution of one point.
-func (tr *Tracker) PointStart(w int) {
+func (tr *tracker) PointStart(w int) {
 	if tr == nil {
 		return
 	}
 	tr.inflight[w].Store(time.Now().UnixNano())
 }
 
-func (tr *Tracker) PointEnd(w int) {
+func (tr *tracker) PointEnd(w int) {
 	if tr == nil {
 		return
 	}
@@ -221,32 +219,15 @@ func (tr *Tracker) PointEnd(w int) {
 
 // SkipCells records n cells restored from a checkpoint (a resumed
 // run's already-complete work) rather than simulated.
-func (tr *Tracker) SkipCells(n int) {
+func (tr *tracker) SkipCells(n int) {
 	if tr == nil {
 		return
 	}
 	tr.skipped.Add(int64(n))
 }
 
-// Spill records one shard file committed to the checkpoint directory.
-func (tr *Tracker) Spill() {
-	if tr == nil {
-		return
-	}
-	tr.spills.Add(1)
-}
-
-// Checkpointed records the cumulative cell count the checkpoint file
-// currently covers.
-func (tr *Tracker) Checkpointed(cells int) {
-	if tr == nil {
-		return
-	}
-	tr.ckptCells.Store(int64(cells))
-}
-
 // Finish stops the reporter and delivers the final Done snapshot.
-func (tr *Tracker) Finish() {
+func (tr *tracker) Finish() {
 	if tr == nil {
 		return
 	}
@@ -255,7 +236,7 @@ func (tr *Tracker) Finish() {
 	tr.ob.Progress(tr.snapshot(true))
 }
 
-func (tr *Tracker) snapshot(done bool) SweepProgress {
+func (tr *tracker) snapshot(done bool) SweepProgress {
 	elapsed := time.Since(tr.start).Seconds()
 	cells := int(tr.doneCells.Load())
 	p := SweepProgress{
@@ -268,9 +249,7 @@ func (tr *Tracker) snapshot(done bool) SweepProgress {
 		Workers:     tr.workers,
 		Done:        done,
 
-		SkippedCells:      int(tr.skipped.Load()),
-		SpilledShards:     int(tr.spills.Load()),
-		CheckpointedCells: int(tr.ckptCells.Load()),
+		SkippedCells: int(tr.skipped.Load()),
 	}
 	if elapsed > 0 {
 		p.EventsPerSec = float64(p.Events) / elapsed

@@ -34,7 +34,7 @@ func TestRunSweepObservedBitIdentical(t *testing.T) {
 		}
 		return csv.String() + js.String()
 	}
-	plain, err := RunSweep(observeSweep(1))
+	plain, err := RunSweepObserved(observeSweep(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

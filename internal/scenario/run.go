@@ -138,12 +138,12 @@ func RunCompiledObserved(c *Compiled, ob *Observe) (*Result, error) {
 		for i := range rateAccs {
 			rateAccs[i] = make([]stats.Accumulator, net.Session(i).NumReceivers())
 		}
-		goodput := netsim.MeanReceiverRateMetric()
+		goodput, rootRed, maxRed := sweepMetrics["goodput"], sweepMetrics["root_redundancy"], sweepMetrics["max_link_redundancy"]
 		cfg := c.Cfg
 		if ob != nil && ob.Stats != nil {
 			cfg.Stats = ob.Stats
 		}
-		tr := NewTracker(ob, 1, s.Replications.N, 1)
+		tr := newTracker(ob, 1, s.Replications.N, 1)
 		tr.PointStart(0)
 		err := netsim.StreamReplications(cfg, s.Replications.N, s.Replications.Workers,
 			func(_ int, r *netsim.Result) error {
@@ -154,18 +154,8 @@ func RunCompiledObserved(c *Compiled, ob *Observe) (*Result, error) {
 					goodAcc.Add(goodput(r))
 				}
 				if sel[MetricRedundancy] {
-					sum := 0.0
-					for i := range r.ReceiverRates {
-						sum += r.SessionRedundancy(i)
-					}
-					rootAcc.Add(sum / float64(len(r.ReceiverRates)))
-					m := 0.0
-					for _, ls := range r.Links {
-						if ls.Redundancy > m {
-							m = ls.Redundancy
-						}
-					}
-					maxAcc.Add(m)
+					rootAcc.Add(rootRed(r))
+					maxAcc.Add(maxRed(r))
 				}
 				if needRates {
 					for i := range r.ReceiverRates {
@@ -370,24 +360,4 @@ func (r *Result) WriteReport(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// RunFile loads a Spec from a JSON file, runs it, and writes the report
-// — the shared implementation behind every cmd binary's -spec flag.
-func RunFile(w io.Writer, path string) error {
-	return RunFileObserved(w, path, nil)
-}
-
-// RunFileObserved is RunFile with an optional observability attachment
-// (see RunObserved).
-func RunFileObserved(w io.Writer, path string, ob *Observe) error {
-	spec, err := LoadFile(path)
-	if err != nil {
-		return err
-	}
-	res, err := RunObserved(spec, ob)
-	if err != nil {
-		return err
-	}
-	return res.WriteReport(w)
 }

@@ -228,7 +228,9 @@ type ChurnEvent struct {
 type ReplicationSpec struct {
 	// N is the independent replication count (0 = analytic only).
 	N int `json:"n"`
-	// Workers bounds the replication pool (0 = GOMAXPROCS).
+	// Workers bounds the replication pool (0 = GOMAXPROCS; negative is
+	// invalid). A sweep base's value is the whole sweep's budget, split
+	// between points and their replications.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -299,6 +301,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Replications.N < 0 {
 		return fmt.Errorf("scenario: replications.n = %d", s.Replications.N)
+	}
+	if s.Replications.Workers < 0 {
+		return fmt.Errorf("scenario: replications.workers = %d (0 = GOMAXPROCS)", s.Replications.Workers)
 	}
 	if s.Replications.N > 0 {
 		if s.Packets < 1 {

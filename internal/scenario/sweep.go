@@ -16,10 +16,11 @@ import (
 
 // Sweep declares a whole parameter study: a base Spec plus axes that
 // vary overridable fields over a grid. The cartesian product of the
-// axes expands into one compiled scenario per point (sharing generated
-// topologies between points whose topology inputs agree), and RunSweep
-// executes the points through a parallel point×replication scheduler
-// that streams per-replication metric rows into a results.Store —
+// axes is its points, and one point scheduler (SweepResult.RunPoints,
+// behind RunSweepObserved and internal/sweepexec) expands and compiles
+// each point as a worker takes it (sharing generated topologies
+// between points whose topology inputs agree), runs its replications,
+// and streams per-replication metric rows into a results.Store —
 // every figure of the paper is one of these.
 type Sweep struct {
 	// Name titles reports; empty synthesizes one from the base.
@@ -75,12 +76,11 @@ type LogRangeSpec struct {
 	Points int     `json:"points"`
 }
 
-// maxSweepPoints caps a sweep's expansion. The point scheduler streams
-// points (internal/sweepexec materializes one point at a time), so the
-// historical 4096-point cap is gone; what remains is an overflow guard
-// that makes a typo'd grid — billions of points from a fat-fingered
-// range step — fail fast at validation instead of scheduling a sweep
-// that could never finish.
+// maxSweepPoints caps a sweep's expansion. The point scheduler
+// materializes one point at a time, so the historical 4096-point cap
+// is gone; what remains is an overflow guard that makes a typo'd grid
+// — billions of points from a fat-fingered range step — fail fast at
+// validation instead of scheduling a sweep that could never finish.
 const maxSweepPoints = 1 << 22
 
 // SweepOutputs lists the per-replication metric columns a sweep can

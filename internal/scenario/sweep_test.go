@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -210,24 +211,38 @@ func TestSweepFieldSetters(t *testing.T) {
 	}
 }
 
+// compilePoints expands sw and compiles every point on one executor.
+func compilePoints(t *testing.T, sw *Sweep) []*Compiled {
+	t.Helper()
+	pts, err := sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := NewPointExecutor(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := make([]*Compiled, len(pts))
+	for i := range pts {
+		if compiled[i], err = x.Compile(&pts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return compiled
+}
+
 // TestSweepTopologyCache: points varying only non-topology fields
 // share one built network; points varying topology inputs do not.
 func TestSweepTopologyCache(t *testing.T) {
 	base := sweepBase()
 	base.Topology = TopologySpec{Kind: "scalefree", Nodes: 30, Sessions: 3}
 	sw := &Sweep{Base: base, Axes: []Axis{{Field: "defaultLink.loss", Values: []any{0.01, 0.02, 0.03}}}}
-	_, compiled, err := sw.CompilePoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	compiled := compilePoints(t, sw)
 	if compiled[0].Net != compiled[1].Net || compiled[1].Net != compiled[2].Net {
 		t.Fatal("points with identical topology inputs did not share the built network")
 	}
 	sw2 := &Sweep{Base: base, Axes: []Axis{{Field: "topology.nodes", Values: []any{30.0, 40.0}}}}
-	_, compiled2, err := sw2.CompilePoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	compiled2 := compilePoints(t, sw2)
 	if compiled2[0].Net == compiled2[1].Net {
 		t.Fatal("points with different topology inputs shared a network")
 	}
@@ -254,7 +269,7 @@ func TestRunSweepDeterminism(t *testing.T) {
 		}
 	}
 	render := func(workers int) string {
-		res, err := RunSweep(build(workers))
+		res, err := RunSweepObserved(build(workers), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +303,7 @@ func TestRunSweepAgainstScenarioRun(t *testing.T) {
 		Axes:    []Axis{{Field: "defaultLink.loss", Values: []any{0.01, 0.04}}},
 		Outputs: []string{"goodput", "root_redundancy"},
 	}
-	res, err := RunSweep(sw)
+	res, err := RunSweepObserved(sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +349,7 @@ func TestSweepBenchmarkStage(t *testing.T) {
 		Outputs:   []string{"goodput", "best_rate"},
 		Benchmark: true,
 	}
-	res, err := RunSweep(sw)
+	res, err := RunSweepObserved(sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,5 +441,83 @@ func TestAxisLogRange(t *testing.T) {
 	mid := vals[1].(float64)
 	if mid < 0.0099 || mid > 0.0101 {
 		t.Fatalf("geometric midpoint %v, want ~0.01", mid)
+	}
+}
+
+// TestValidateRejectsNegativeWorkers: a negative replication worker
+// budget is invalid in a spec and in a sweep's base, which every point
+// inherits; 0 (GOMAXPROCS) stays valid.
+func TestValidateRejectsNegativeWorkers(t *testing.T) {
+	spec := sweepBase()
+	spec.Replications.Workers = -3
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "replications.workers") {
+		t.Fatalf("spec with workers -3: err = %v", err)
+	}
+	sw := &Sweep{Base: spec, Axes: []Axis{{Field: "defaultLink.loss", Values: []any{0.01, 0.02}}}}
+	if err := sw.Validate(); err == nil {
+		t.Fatal("sweep base with workers -3 accepted")
+	}
+	if _, err := RunSweepObserved(sw, nil); err == nil {
+		t.Fatal("sweep with workers -3 ran")
+	}
+	spec.Replications.Workers = 0
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("workers 0 rejected: %v", err)
+	}
+}
+
+// TestRunPointsLowestFailingPoint: points that pass validation but fail
+// to compile (link override 4 on stars of 2 and 1 receivers) are
+// reported when a worker reaches them, and for any worker budget the
+// run returns the lowest failing point's error.
+func TestRunPointsLowestFailingPoint(t *testing.T) {
+	base := sweepBase()
+	base.Links = []LinkOverride{{Link: 4, LinkSpec: LinkSpec{Kind: "bernoulli", Loss: 0.01}}}
+	for _, workers := range []int{1, 2, 4} {
+		base.Replications.Workers = workers
+		sw := &Sweep{Base: base, Axes: []Axis{{Field: "topology.receivers", Values: []any{5.0, 2.0, 4.0, 1.0}}}}
+		_, err := RunSweepObserved(sw, nil)
+		if err == nil || !strings.Contains(err.Error(), "sweep point 1:") {
+			t.Fatalf("workers %d: err = %v, want point 1's", workers, err)
+		}
+	}
+}
+
+var errStop = errors.New("sink stop")
+
+// stopSink fails its k-th cell and counts every call it gets.
+type stopSink struct{ k, cells, ends int }
+
+func (s *stopSink) Cell(*Point, int, []float64) error {
+	if s.cells++; s.cells == s.k {
+		return errStop
+	}
+	return nil
+}
+
+func (s *stopSink) PointEnd(*Point, []float64) error {
+	s.ends++
+	return nil
+}
+
+// TestRunPointsSinkErrorStops: a sink error stops the scheduler at once
+// and is what RunPoints returns: no later cell reaches the stores or
+// the sink, and no point ends.
+func TestRunPointsSinkErrorStops(t *testing.T) {
+	sw := &Sweep{
+		Base: sweepBase(),
+		Axes: []Axis{{Field: "defaultLink.loss", Values: []any{0.01, 0.02, 0.03, 0.04}}},
+	}
+	r, err := NewSweepResult(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := &stopSink{k: 2}
+	if err := r.RunPoints(0, 1, 4, nil, sk); !errors.Is(err, errStop) {
+		t.Fatalf("RunPoints = %v, want the sink's error", err)
+	}
+	if sk.cells != 2 || sk.ends != 0 || r.Sim.NumObservations() != 2 {
+		t.Fatalf("after the stop: %d sink cells, %d point ends, %d stored cells; want 2, 0, 2",
+			sk.cells, sk.ends, r.Sim.NumObservations())
 	}
 }

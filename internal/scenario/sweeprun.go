@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"mlfair/internal/maxmin"
@@ -23,19 +24,38 @@ import (
 // with a positive fair rate).
 var BenchmarkColumns = []string{"fair_rate", "fair_min", "gap_mean", "gap_min"}
 
-// SweepResult is one executed sweep: the expanded points, their
-// compiled scenarios, the replication-level simulated store, and the
-// per-point analytic benchmark store (nil unless Sweep.Benchmark).
+// SweepResult is one executed sweep: the replication-level simulated
+// store and the per-point analytic benchmark store (nil unless
+// Sweep.Benchmark). Point ids and coordinates are the stores' own.
 type SweepResult struct {
-	Sweep    *Sweep
-	Points   []Point
-	Compiled []*Compiled
+	Sweep *Sweep
 	// Sim holds one row per (point, replication) of the selected output
 	// metrics; summaries are bit-identical for any worker count and any
 	// point completion order.
 	Sim *results.Store
 	// Bench holds one row per point of BenchmarkColumns.
 	Bench *results.Store
+}
+
+// NewSweepResult validates sw and returns its empty result: a simulated
+// store over the sweep's axes and outputs, plus a benchmark store when
+// the Benchmark stage is on. RunPoints fills it.
+func NewSweepResult(sw *Sweep) (*SweepResult, error) {
+	if err := sw.Validate(); err != nil {
+		return nil, err
+	}
+	axes := sw.AxisFields()
+	sim, err := results.New(axes, sw.outputSet())
+	if err != nil {
+		return nil, err
+	}
+	r := &SweepResult{Sweep: sw, Sim: sim}
+	if sw.Benchmark {
+		if r.Bench, err = results.New(axes, BenchmarkColumns); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // topoCacheKey captures exactly the inputs buildTopology consumes, so
@@ -63,38 +83,12 @@ func topoCacheKey(s *Spec) (string, error) {
 	return string(b), nil
 }
 
-// CompilePoints expands the sweep and compiles every point, building
-// each distinct topology exactly once (shared-topology caching).
-func (sw *Sweep) CompilePoints() ([]Point, []*Compiled, error) {
-	pts, err := sw.Expand()
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := NewPointExecutor(sw)
-	if err != nil {
-		return nil, nil, err
-	}
-	compiled := make([]*Compiled, len(pts))
-	for i := range pts {
-		c, err := x.Compile(&pts[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		compiled[i] = c
-	}
-	return pts, compiled, nil
-}
-
-// PointExecutor compiles and executes individual sweep points — the
-// shared core under both RunSweep's in-process scheduler and the
-// distributed checkpoint/resume scheduler in internal/sweepexec.
-// Compile shares generated topologies across points (thread-safe), and
-// ExecutePoint streams one point's replication rows to a callback in
-// replication order, so any scheduler layered on top inherits the
-// bit-identical-output guarantee.
+// PointExecutor compiles and executes individual sweep points for the
+// point scheduler (RunPoints). Compile shares generated topologies
+// across points (thread-safe), and executePoint streams one point's
+// replication rows to a callback in replication order, so the
+// scheduler's stores are bit-identical for any worker count.
 type PointExecutor struct {
-	sw       *Sweep
-	axes     []string
 	outputs  []string
 	bench    bool
 	stats    *netsim.EngineStats
@@ -113,27 +107,11 @@ func NewPointExecutor(sw *Sweep) (*PointExecutor, error) {
 		return nil, err
 	}
 	return &PointExecutor{
-		sw:       sw,
-		axes:     sw.AxisFields(),
 		outputs:  sw.outputSet(),
 		bench:    sw.Benchmark,
 		topoMemo: map[string]cachedTopo{},
 	}, nil
 }
-
-// SetStats attaches an engine-stats sink, injected into every
-// subsequently compiled point's config.
-func (x *PointExecutor) SetStats(st *netsim.EngineStats) { x.stats = st }
-
-// Axes returns the coordinate axes (the swept field paths).
-func (x *PointExecutor) Axes() []string { return append([]string(nil), x.axes...) }
-
-// Outputs returns the per-replication metric columns.
-func (x *PointExecutor) Outputs() []string { return append([]string(nil), x.outputs...) }
-
-// Benchmark reports whether the per-point analytic benchmark stage is
-// on (ExecutePoint then returns a BenchmarkColumns row).
-func (x *PointExecutor) Benchmark() bool { return x.bench }
 
 // Compile compiles one point, reusing generated topologies across
 // calls with equal topology inputs. Safe for concurrent use.
@@ -168,7 +146,7 @@ func (x *PointExecutor) Compile(p *Point) (*Compiled, error) {
 	return c, nil
 }
 
-// ExecutePoint runs point p's replications on inner parallel workers
+// executePoint runs point p's replications on inner parallel workers
 // and hands each non-skipped replication's metric row to onCell, in
 // ascending replication order on the calling goroutine (the row slice
 // is reused across calls — copy to retain). skip marks replications
@@ -182,7 +160,7 @@ func (x *PointExecutor) Compile(p *Point) (*Compiled, error) {
 // simulated receiver rates over every replication, so skipped
 // replications are re-simulated (their rows are simply not re-emitted);
 // without the benchmark stage only missing replications run.
-func (x *PointExecutor) ExecutePoint(p *Point, c *Compiled, skip []bool, inner int,
+func (x *PointExecutor) executePoint(p *Point, c *Compiled, skip []bool, inner int,
 	onCell func(rep int, row []float64, events int64) error) ([]float64, error) {
 	n := p.Spec.Replications.N
 	if skip != nil && len(skip) != n {
@@ -355,116 +333,117 @@ func (x *PointExecutor) runSelected(cfg netsim.Config, skip []bool, inner int,
 	return nil
 }
 
-// RunSweep expands, compiles and executes a sweep on a parallel
-// point×replication scheduler: points are dispatched to a worker pool,
-// each point streams its replications through netsim.StreamReplications
-// (which parallelizes the inner level), and every finished point's
-// result shard merges into the shared columnar store. Because the
-// store is merge-order invariant and each replication row is a pure
-// function of its point spec and replication index, the returned
-// stores are bit-identical for any worker split and any point
-// completion order.
-func RunSweep(sw *Sweep) (*SweepResult, error) {
-	return RunSweepObserved(sw, nil)
+// RunSweepObserved runs every point of a sweep on the point scheduler
+// (RunPoints) into fresh stores. ob optionally attaches observability:
+// ob.Stats is injected into every point's engine config, and
+// ob.Progress receives streaming SweepProgress snapshots. A nil ob
+// changes no result.
+func RunSweepObserved(sw *Sweep, ob *Observe) (*SweepResult, error) {
+	r, err := NewSweepResult(sw)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.RunPoints(0, 1, 0, ob, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// RunSweepObserved is RunSweep with an optional observability
-// attachment: ob.Stats is injected into every point's engine config,
-// and ob.Progress receives streaming SweepProgress snapshots. A nil ob
-// is exactly RunSweep — results are bit-identical either way.
-func RunSweepObserved(sw *Sweep, ob *Observe) (*SweepResult, error) {
-	exec, err := NewPointExecutor(sw)
-	if err != nil {
-		return nil, err
-	}
-	if ob != nil && ob.Stats != nil {
-		exec.SetStats(ob.Stats)
-	}
-	pts, err := sw.Expand()
-	if err != nil {
-		return nil, err
-	}
-	compiled := make([]*Compiled, len(pts))
-	for i := range pts {
-		if compiled[i], err = exec.Compile(&pts[i]); err != nil {
-			return nil, err
-		}
-	}
-	sim, err := results.New(exec.axes, exec.outputs)
-	if err != nil {
-		return nil, err
-	}
-	var bench *results.Store
-	if sw.Benchmark {
-		if bench, err = results.New(exec.axes, BenchmarkColumns); err != nil {
-			return nil, err
-		}
-	}
-	for i := range pts {
-		if err := sim.AddPoint(pts[i].ID, pts[i].Coords, pts[i].Spec.Replications.N); err != nil {
-			return nil, err
-		}
-		if bench != nil {
-			if err := bench.AddPoint(pts[i].ID, pts[i].Coords, 1); err != nil {
-				return nil, err
-			}
-		}
-	}
+// SweepSink observes what RunPoints adds to a SweepResult's stores.
+// Its calls run under the scheduler's lock, after the stores took the
+// values, so they never overlap. An error from either method stops the
+// run at once: no later cell reaches the stores or the sink, and
+// RunPoints returns that error.
+type SweepSink interface {
+	// Cell follows each simulated cell: replication rep of point p with
+	// its output row, which is reused after the call (copy to retain).
+	Cell(p *Point, rep int, row []float64) error
+	// PointEnd follows a point's last cell. bench is the point's
+	// benchmark row: nil when the stage is off or the row was restored.
+	PointEnd(p *Point, bench []float64) error
+}
 
-	pointWorkers, inner := SweepWorkerSplit(sw.Base.Replications.Workers, len(pts))
-
-	totalCells := 0
-	for i := range pts {
-		totalCells += pts[i].Spec.Replications.N
+// RunPoints is the sweep point scheduler. It runs the points whose id
+// mod shards is shard (shards = 1 runs them all) on a worker pool,
+// expanding and compiling each point only when a worker takes it, and
+// adds their cells to r's stores. The worker budget (0 = the sweep's
+// replications.workers, and from there GOMAXPROCS; negative is an
+// error) is split between points in flight and each point's
+// replication runner. A point that r.Sim already defines (a resumed
+// run) runs only its unobserved replications, and not at all once
+// every cell and its benchmark row are present. Every replication row
+// is a pure function of (point, replication index) and the stores are
+// merge-order invariant, so they come out bit-identical for any
+// budget, shard split or resume history.
+//
+// Points are dispatched in id order and none after a failure; the
+// error returned is the sink's, or else the lowest failing point's.
+func (r *SweepResult) RunPoints(shard, shards, workers int, ob *Observe, sink SweepSink) error {
+	e, err := r.Sweep.Expander()
+	if err != nil {
+		return err
 	}
-	tr := NewTracker(ob, len(pts), totalCells, pointWorkers)
+	if shards < 1 || shard < 0 || shard >= shards {
+		return fmt.Errorf("scenario: invalid shard %d/%d", shard, shards)
+	}
+	if workers < 0 {
+		return fmt.Errorf("scenario: sweep worker budget %d (0 = the sweep's own)", workers)
+	}
+	x, err := NewPointExecutor(r.Sweep)
+	if err != nil {
+		return err
+	}
+	if ob != nil {
+		x.stats = ob.Stats
+	}
+	total, points, cells := e.Len(), 0, 0
+	for id := shard; id < total; id += shards {
+		reps, err := e.RepsAt(id)
+		if err != nil {
+			return err
+		}
+		points++
+		cells += reps
+	}
+	if workers == 0 {
+		workers = r.Sweep.Base.Replications.Workers
+	}
+	pointWorkers, inner := sweepWorkerSplit(workers, points)
+	s := &sweepRun{r: r, e: e, x: x, inner: inner, sink: sink, tr: newTracker(ob, points, cells, pointWorkers)}
+	s.tr.SkipCells(r.Sim.NumObservations())
 
-	var mu sync.Mutex // guards sim/bench merges and errs
-	errs := make([]error, len(pts))
-	failed := false
-	idxCh := make(chan int)
+	ids := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < pointWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range idxCh {
-				tr.PointStart(w)
-				err := runSweepPoint(exec, &pts[i], compiled[i], inner, sim, bench, &mu, tr)
-				tr.PointEnd(w)
+			for id := range ids {
+				s.tr.PointStart(w)
+				err := s.point(id)
+				s.tr.PointEnd(w)
 				if err != nil {
-					mu.Lock()
-					errs[i] = err
-					failed = true
-					mu.Unlock()
+					s.fail(id, err)
 				}
 			}
 		}(w)
 	}
-	for i := range pts {
-		mu.Lock()
-		stop := failed
-		mu.Unlock()
-		if stop {
-			break
-		}
-		idxCh <- i
+	for id := shard; id < total && !s.failed(); id += shards {
+		ids <- id
 	}
-	close(idxCh)
+	close(ids)
 	wg.Wait()
-	tr.Finish()
-	for _, err := range errs { // first error in point order, deterministically
-		if err != nil {
-			return nil, err
-		}
+	s.tr.Finish()
+	if s.stopErr != nil {
+		return s.stopErr
 	}
-	return &SweepResult{Sweep: sw, Points: pts, Compiled: compiled, Sim: sim, Bench: bench}, nil
+	return s.err
 }
 
-// SweepWorkerSplit divides a worker budget (0 = GOMAXPROCS) between
+// sweepWorkerSplit divides a worker budget (0 = GOMAXPROCS) between
 // point-level parallelism and the replication workers each point hands
-// to its inner runner — the split both sweep schedulers use.
-func SweepWorkerSplit(budget, points int) (pointWorkers, inner int) {
+// to its inner runner.
+func sweepWorkerSplit(budget, points int) (pointWorkers, inner int) {
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
@@ -482,40 +461,127 @@ func SweepWorkerSplit(budget, points int) (pointWorkers, inner int) {
 	return pointWorkers, inner
 }
 
-// runSweepPoint executes one point: replications stream into a
-// single-point shard, the analytic benchmark runs once, and both merge
-// into the shared stores under the lock.
-func runSweepPoint(exec *PointExecutor, p *Point, c *Compiled, inner int,
-	sim, bench *results.Store, mu *sync.Mutex, tr *Tracker) error {
-	shard, err := results.New(exec.axes, exec.outputs)
+// sweepRun is one RunPoints call's shared state; mu guards the stores,
+// the sink and the error fields.
+type sweepRun struct {
+	r     *SweepResult
+	e     *Expander
+	x     *PointExecutor
+	inner int
+	sink  SweepSink
+	tr    *tracker
+
+	mu      sync.Mutex
+	stopErr error // the sink's error, which stops the run at once
+	err     error // the lowest failing point's error
+	errID   int
+}
+
+// fail records point id's error, keeping the lowest failing id's.
+func (s *sweepRun) fail(id int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err == nil || id < s.errID {
+		s.err, s.errID = err, id
+	}
+}
+
+// failed reports whether the run has stopped or a point has failed.
+func (s *sweepRun) failed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stopErr != nil || s.err != nil
+}
+
+// point runs sweep point id, or the part of it the stores lack.
+func (s *sweepRun) point(id int) error {
+	p, err := s.e.PointAt(id)
 	if err != nil {
 		return err
 	}
-	if err := shard.AddPoint(p.ID, p.Coords, p.Spec.Replications.N); err != nil {
+	s.mu.Lock()
+	skip, benchDone, err := s.define(p)
+	stopped := s.stopErr != nil
+	s.mu.Unlock()
+	if err != nil || stopped {
 		return err
 	}
-	benchRow, err := exec.ExecutePoint(p, c, nil, inner, func(rep int, row []float64, events int64) error {
-		if err := shard.Observe(p.ID, rep, row...); err != nil {
+	if skip != nil && !slices.Contains(skip, false) && (s.r.Bench == nil || benchDone) {
+		return nil // fully restored
+	}
+	c, err := s.x.Compile(p)
+	if err != nil {
+		return err
+	}
+	benchRow, err := s.x.executePoint(p, c, skip, s.inner, func(rep int, row []float64, events int64) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.stopErr != nil {
+			return s.stopErr
+		}
+		if err := s.r.Sim.Observe(id, rep, row...); err != nil {
 			return err
 		}
-		tr.Cell(events)
+		s.tr.Cell(events)
+		if s.sink != nil {
+			if err := s.sink.Cell(p, rep, row); err != nil {
+				s.stopErr = err
+				return err
+			}
+		}
 		return nil
 	})
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopErr != nil {
+		return nil // the run already stopped on the sink's error
+	}
 	if err != nil {
 		return err
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if err := sim.Merge(shard); err != nil {
-		return err
+	if benchDone {
+		benchRow = nil
 	}
-	if bench != nil {
-		if err := bench.Observe(p.ID, 0, benchRow...); err != nil {
+	if benchRow != nil {
+		if err := s.r.Bench.Observe(id, 0, benchRow...); err != nil {
 			return err
+		}
+	}
+	if s.sink != nil {
+		if err := s.sink.PointEnd(p, benchRow); err != nil {
+			s.stopErr = err
 		}
 	}
 	return nil
+}
+
+// define adds point p to the stores or, when they already hold it (a
+// resumed run), returns which replications are observed (nil when
+// none) and whether its benchmark row is. The caller holds s.mu.
+func (s *sweepRun) define(p *Point) (skip []bool, benchDone bool, err error) {
+	n := p.Spec.Replications.N
+	if observed, err := s.r.Sim.ObservedReps(p.ID); err != nil {
+		if err := s.r.Sim.AddPoint(p.ID, p.Coords, n); err != nil {
+			return nil, false, err
+		}
+	} else if len(observed) > 0 {
+		skip = make([]bool, n)
+		for _, rep := range observed {
+			if rep >= n {
+				return nil, false, fmt.Errorf("scenario: sweep point %d restored replication %d of %d", p.ID, rep, n)
+			}
+			skip[rep] = true
+		}
+	}
+	if s.r.Bench != nil {
+		if observed, err := s.r.Bench.ObservedReps(p.ID); err == nil {
+			benchDone = len(observed) == 1
+		} else if err := s.r.Bench.AddPoint(p.ID, p.Coords, 1); err != nil {
+			return nil, false, err
+		}
+	}
+	return skip, benchDone, nil
 }
 
 // Cell returns the simulated summary of one (point, output metric)
@@ -559,33 +625,4 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// RunSweepFile loads a Sweep from a JSON file, runs it, and writes the
-// result table — the shared implementation behind every cmd binary's
-// -sweep flag. format selects "csv" (default) or "json".
-func RunSweepFile(w io.Writer, path, format string) error {
-	return RunSweepFileObserved(w, path, format, nil)
-}
-
-// RunSweepFileObserved is RunSweepFile with an optional observability
-// attachment (see RunSweepObserved).
-func RunSweepFileObserved(w io.Writer, path, format string, ob *Observe) error {
-	switch format {
-	case "", "csv", "json":
-	default:
-		return fmt.Errorf("scenario: unknown sweep output format %q (want csv or json)", format)
-	}
-	sw, err := LoadSweepFile(path)
-	if err != nil {
-		return err
-	}
-	res, err := RunSweepObserved(sw, ob)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		return res.WriteJSON(w)
-	}
-	return res.WriteCSV(w)
 }

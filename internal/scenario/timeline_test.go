@@ -313,7 +313,7 @@ func TestSweepConvergenceOutputs(t *testing.T) {
 			"goodput", "time_to_fair", "frac_time_fair", "oscillation",
 		},
 	}
-	res, err := RunSweep(sw)
+	res, err := RunSweepObserved(sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

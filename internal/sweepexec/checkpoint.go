@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"mlfair/internal/results"
 	"mlfair/internal/scenario"
@@ -274,20 +275,37 @@ type checkpointer struct {
 	ck         Checkpoint
 	axes, outs []string
 	bench      bool
-	tr         *scenario.Tracker
+	// spills and cells mirror this run's commit count and the
+	// checkpoint's cell count for progress snapshots, which read them
+	// outside the scheduler lock.
+	spills, cells atomic.Int64
 
 	pendSim   *results.Store
 	pendBench *results.Store
 	pendCells []Cell
 }
 
-func newCheckpointer(dir string, ck Checkpoint, axes, outs []string, bench bool, tr *scenario.Tracker) (*checkpointer, error) {
+func newCheckpointer(dir string, ck Checkpoint, sw *scenario.Sweep) (*checkpointer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	c := &checkpointer{dir: dir, ck: ck, axes: axes, outs: outs, bench: bench, tr: tr}
-	tr.Checkpointed(len(ck.Cells))
+	c := &checkpointer{dir: dir, ck: ck, axes: sw.AxisFields(), outs: sw.OutputColumns(), bench: sw.Benchmark}
+	c.cells.Store(int64(len(ck.Cells)))
 	return c, c.resetPending()
+}
+
+// progress returns ob with the checkpoint's counters added to every
+// progress snapshot (ob itself when it reports no progress).
+func (c *checkpointer) progress(ob *scenario.Observe) *scenario.Observe {
+	if ob == nil || ob.Progress == nil {
+		return ob
+	}
+	o := *ob
+	o.Progress = func(p scenario.SweepProgress) {
+		p.SpilledShards, p.CheckpointedCells = int(c.spills.Load()), int(c.cells.Load())
+		ob.Progress(p)
+	}
+	return &o
 }
 
 func (c *checkpointer) resetPending() error {
@@ -361,8 +379,8 @@ func (c *checkpointer) commit() error {
 	if err := writeFileAtomic(filepath.Join(c.dir, checkpointFile), c.ck.encode()); err != nil {
 		return err
 	}
-	c.tr.Spill()
-	c.tr.Checkpointed(len(c.ck.Cells))
+	c.spills.Add(1)
+	c.cells.Store(int64(len(c.ck.Cells)))
 	return c.resetPending()
 }
 

@@ -27,22 +27,6 @@ func (r *Result) WriteShardFile(path string) error {
 	return writeFileAtomic(path, buf.Bytes())
 }
 
-// WriteCSV renders the result exactly as scenario.SweepResult would —
-// a merged full-sweep result is byte-identical to the single-process
-// table.
-func (r *Result) WriteCSV(w io.Writer) error {
-	return r.sweepResult().WriteCSV(w)
-}
-
-// WriteJSON renders the result as scenario.SweepResult's JSON document.
-func (r *Result) WriteJSON(w io.Writer) error {
-	return r.sweepResult().WriteJSON(w)
-}
-
-func (r *Result) sweepResult() *scenario.SweepResult {
-	return &scenario.SweepResult{Sweep: r.Sweep, Sim: r.Sim, Bench: r.Bench}
-}
-
 // ReadShardFile reads one shard file: a simulated section, optionally
 // followed by a benchmark section, with nothing after.
 func ReadShardFile(path string) (sim, bench *results.Store, err error) {
@@ -78,21 +62,15 @@ func MergeFiles(sw *scenario.Sweep, paths []string) (*Result, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("sweepexec: no shard files to merge")
 	}
+	res, err := scenario.NewSweepResult(sw)
+	if err != nil {
+		return nil, err
+	}
 	e, err := sw.Expander()
 	if err != nil {
 		return nil, err
 	}
-	axes, outs := sw.AxisFields(), sw.OutputColumns()
-	sim, err := results.New(axes, outs)
-	if err != nil {
-		return nil, err
-	}
-	var bench *results.Store
-	if sw.Benchmark {
-		if bench, err = results.New(axes, scenario.BenchmarkColumns); err != nil {
-			return nil, err
-		}
-	}
+	sim, bench := res.Sim, res.Bench
 	for _, path := range paths {
 		s, b, err := ReadShardFile(path)
 		if err != nil {
@@ -131,5 +109,5 @@ func MergeFiles(sw *scenario.Sweep, paths []string) (*Result, error) {
 			}
 		}
 	}
-	return &Result{Sweep: sw, Sim: sim, Bench: bench}, nil
+	return &Result{SweepResult: res}, nil
 }

@@ -1,9 +1,7 @@
 // Package sweepexec runs parameter sweeps as distributed, resumable
-// jobs. It layers three things over scenario's point executor:
+// jobs on scenario's one point scheduler (SweepResult.RunPoints, which
+// walks the grid lazily, one point at a time). It adds:
 //
-//   - a streaming scheduler that walks the sweep grid lazily (point
-//     ids resolve one at a time, so grids far beyond the old in-memory
-//     expansion are fine),
 //   - sharding: `-shard i/n` partitions points by id mod n, so n
 //     independent processes each run a disjoint slice whose final
 //     shard files merge — bit-identically — into the single-process
@@ -23,9 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
-	"mlfair/internal/results"
 	"mlfair/internal/scenario"
 )
 
@@ -33,7 +29,8 @@ import (
 type Options struct {
 	// Workers is the total worker budget, split between point-level and
 	// replication-level parallelism; 0 falls back to the sweep's own
-	// replications.workers (and from there to GOMAXPROCS).
+	// replications.workers (and from there to GOMAXPROCS), and a
+	// negative budget is an error.
 	Workers int
 	// ShardIndex / ShardCount select this process's point partition
 	// (point id mod ShardCount == ShardIndex). A zero ShardCount means
@@ -63,14 +60,11 @@ type Options struct {
 	Observe *scenario.Observe
 }
 
-// Result is one shard's completed sweep slice.
+// Result is one shard's completed sweep slice: the scenario result
+// restricted to this shard's points (Bench is nil unless the sweep's
+// Benchmark stage is on).
 type Result struct {
-	Sweep *scenario.Sweep
-	// Sim and Bench mirror scenario.SweepResult's stores, restricted to
-	// this shard's points (Bench is nil unless the sweep's Benchmark
-	// stage is on).
-	Sim   *results.Store
-	Bench *results.Store
+	*scenario.SweepResult
 	// ResumedCells counts cells restored from the checkpoint rather
 	// than simulated.
 	ResumedCells int
@@ -90,55 +84,30 @@ func Run(sw *scenario.Sweep, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("sweepexec: Resume requires a checkpoint directory")
 	}
 
-	exec, err := scenario.NewPointExecutor(sw)
+	res, err := scenario.NewSweepResult(sw)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Observe != nil && opts.Observe.Stats != nil {
-		exec.SetStats(opts.Observe.Stats)
 	}
 	e, err := sw.Expander()
 	if err != nil {
 		return nil, err
 	}
-	total := e.Len()
-	axes, outs := sw.AxisFields(), sw.OutputColumns()
 	swHash, err := SweepHash(sw)
 	if err != nil {
 		return nil, err
 	}
 
-	sim, err := results.New(axes, outs)
-	if err != nil {
-		return nil, err
-	}
-	var bench *results.Store
-	if sw.Benchmark {
-		if bench, err = results.New(axes, scenario.BenchmarkColumns); err != nil {
-			return nil, err
-		}
-	}
-
-	// This shard's slice of the grid, and its cell total for progress.
-	nMine, totalCells := 0, 0
-	for id := shardIndex; id < total; id += shardCount {
-		reps, err := e.RepsAt(id)
-		if err != nil {
-			return nil, err
-		}
-		nMine++
-		totalCells += reps
-	}
-
 	// Durable state: restore a previous run's cells, or start fresh.
 	ck := Checkpoint{
-		SchemaHash:  results.SchemaHash(axes, outs),
+		SchemaHash:  res.Sim.SchemaHash(),
 		SweepHash:   swHash,
 		ShardIndex:  shardIndex,
 		ShardCount:  shardCount,
-		TotalPoints: total,
+		TotalPoints: e.Len(),
 	}
 	resumed := 0
+	sk := &sink{flush: opts.FlushCells, after: opts.AfterCell}
+	ob := opts.Observe
 	if opts.CheckpointDir != "" {
 		if opts.Resume {
 			loaded, err := LoadCheckpoint(opts.CheckpointDir)
@@ -153,7 +122,7 @@ func Run(sw *scenario.Sweep, opts Options) (*Result, error) {
 				if err := validateResume(loaded, &ck); err != nil {
 					return nil, err
 				}
-				if err := restore(opts.CheckpointDir, loaded, sim, bench); err != nil {
+				if err := restore(opts.CheckpointDir, loaded, res.Sim, res.Bench); err != nil {
 					return nil, err
 				}
 				ck = *loaded
@@ -162,78 +131,15 @@ func Run(sw *scenario.Sweep, opts Options) (*Result, error) {
 		} else if _, err := os.Stat(filepath.Join(opts.CheckpointDir, checkpointFile)); err == nil {
 			return nil, fmt.Errorf("sweepexec: %s already holds a checkpoint (resume it, or clear the directory)", opts.CheckpointDir)
 		}
-	}
-	budget := opts.Workers
-	if budget <= 0 {
-		budget = sw.Base.Replications.Workers
-	}
-	pointWorkers, inner := scenario.SweepWorkerSplit(budget, nMine)
-	tr := scenario.NewTracker(opts.Observe, nMine, totalCells, pointWorkers)
-	tr.SkipCells(resumed)
-
-	r := &runner{
-		exec:  exec,
-		e:     e,
-		sim:   sim,
-		bench: bench,
-		inner: inner,
-		flush: opts.FlushCells,
-		after: opts.AfterCell,
-		tr:    tr,
-		errs:  map[int]error{},
-	}
-	if opts.CheckpointDir != "" {
-		if r.ck, err = newCheckpointer(opts.CheckpointDir, ck, axes, outs, sw.Benchmark, tr); err != nil {
+		if sk.ck, err = newCheckpointer(opts.CheckpointDir, ck, sw); err != nil {
 			return nil, err
 		}
+		ob = sk.ck.progress(ob)
 	}
-
-	idCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < pointWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for id := range idCh {
-				tr.PointStart(w)
-				err := r.point(id)
-				tr.PointEnd(w)
-				if err != nil {
-					r.mu.Lock()
-					r.errs[id] = err
-					r.mu.Unlock()
-				}
-			}
-		}(w)
+	if err := res.RunPoints(shardIndex, shardCount, opts.Workers, ob, sk); err != nil {
+		return nil, err
 	}
-	for id := shardIndex; id < total; id += shardCount {
-		r.mu.Lock()
-		stop := r.stopErr != nil || len(r.errs) > 0
-		r.mu.Unlock()
-		if stop {
-			break
-		}
-		idCh <- id
-	}
-	close(idCh)
-	wg.Wait()
-	tr.Finish()
-
-	// A crash injection aborts before any error bookkeeping: the run
-	// ends with whatever the checkpoint committed, exactly like a kill.
-	if r.stopErr != nil {
-		return nil, r.stopErr
-	}
-	if len(r.errs) > 0 {
-		first := -1
-		for id := range r.errs {
-			if first < 0 || id < first {
-				first = id
-			}
-		}
-		return nil, r.errs[first]
-	}
-	return &Result{Sweep: sw, Sim: sim, Bench: bench, ResumedCells: resumed}, nil
+	return &Result{SweepResult: res, ResumedCells: resumed}, nil
 }
 
 // validateResume checks a loaded checkpoint against the fingerprints
@@ -252,143 +158,44 @@ func validateResume(loaded, want *Checkpoint) error {
 	return nil
 }
 
-// runner is one Run invocation's shared scheduler state; mu guards
-// everything below it.
-type runner struct {
-	exec  *scenario.PointExecutor
-	e     *scenario.Expander
-	inner int
+// sink is Run's scenario.SweepSink: it stages each new cell for the
+// checkpoint, commits every flush cells and at each point's end, and
+// runs the AfterCell hook, whose error stops the run with no further
+// commit — a kill, as the crash-injection tests drive it. The
+// scheduler serializes its calls.
+type sink struct {
+	ck    *checkpointer // nil without a checkpoint directory
 	flush int
-	after func(int) error
-	tr    *scenario.Tracker
-
-	mu      sync.Mutex
-	sim     *results.Store
-	bench   *results.Store
-	ck      *checkpointer
-	done    int
-	stopErr error
-	errs    map[int]error
+	after func(done int) error
+	done  int
 }
 
-// point executes one sweep point, skipping whatever a resume already
-// restored: fully complete points return immediately, partially
-// complete ones re-emit only the missing replications (the executor
-// re-simulates skipped replications only when the benchmark stage
-// needs their receiver rates).
-func (r *runner) point(id int) error {
-	p, err := r.e.PointAt(id)
-	if err != nil {
-		return err
-	}
-	n := p.Spec.Replications.N
-
-	r.mu.Lock()
-	if r.stopErr != nil {
-		r.mu.Unlock()
-		return nil
-	}
-	var skip []bool
-	restored := 0
-	if _, err := r.sim.Reps(id); err != nil {
-		if err := r.sim.AddPoint(id, p.Coords, n); err != nil {
-			r.mu.Unlock()
+func (s *sink) Cell(p *scenario.Point, rep int, row []float64) error {
+	if s.ck != nil {
+		if err := s.ck.observe(p.ID, p.Coords, p.Spec.Replications.N, rep, row); err != nil {
 			return err
 		}
-	} else {
-		reps, err := r.sim.ObservedReps(id)
-		if err != nil {
-			r.mu.Unlock()
-			return err
-		}
-		if restored = len(reps); restored > 0 {
-			skip = make([]bool, n)
-			for _, rep := range reps {
-				if rep >= n {
-					r.mu.Unlock()
-					return fmt.Errorf("sweepexec: point %d restored replication %d of %d", id, rep, n)
-				}
-				skip[rep] = true
-			}
-		}
-	}
-	benchDone := false
-	if r.bench != nil {
-		if _, err := r.bench.Reps(id); err != nil {
-			if err := r.bench.AddPoint(id, p.Coords, 1); err != nil {
-				r.mu.Unlock()
-				return err
-			}
-		} else if reps, _ := r.bench.ObservedReps(id); len(reps) == 1 {
-			benchDone = true
-		}
-	}
-	r.mu.Unlock()
-
-	if restored == n && (r.bench == nil || benchDone) {
-		return nil // fully restored from the checkpoint
-	}
-
-	c, err := r.exec.Compile(p)
-	if err != nil {
-		return err
-	}
-	benchRow, err := r.exec.ExecutePoint(p, c, skip, r.inner, func(rep int, row []float64, events int64) error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.stopErr != nil {
-			return r.stopErr
-		}
-		if err := r.sim.Observe(id, rep, row...); err != nil {
-			return err
-		}
-		if r.ck != nil {
-			if err := r.ck.observe(id, p.Coords, n, rep, row); err != nil {
-				return err
-			}
-		}
-		r.done++
-		r.tr.Cell(events)
-		if r.ck != nil && r.flush > 0 && r.ck.pending() >= r.flush {
-			if err := r.ck.commit(); err != nil {
-				return err
-			}
-		}
-		if r.after != nil {
-			if err := r.after(r.done); err != nil {
-				r.stopErr = err
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		r.mu.Lock()
-		stopped := r.stopErr != nil
-		r.mu.Unlock()
-		if stopped {
-			return nil // the abort is already recorded globally
-		}
-		return err
-	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopErr != nil {
-		return nil
-	}
-	if benchRow != nil && !benchDone {
-		if err := r.bench.Observe(id, 0, benchRow...); err != nil {
-			return err
-		}
-		if r.ck != nil {
-			if err := r.ck.benchRow(id, p.Coords, benchRow); err != nil {
+		if s.flush > 0 && s.ck.pending() >= s.flush {
+			if err := s.ck.commit(); err != nil {
 				return err
 			}
 		}
 	}
-	if r.ck != nil {
-		return r.ck.commit() // point-end flush
+	s.done++
+	if s.after != nil {
+		return s.after(s.done)
 	}
 	return nil
+}
+
+func (s *sink) PointEnd(p *scenario.Point, bench []float64) error {
+	if s.ck == nil {
+		return nil
+	}
+	if bench != nil {
+		if err := s.ck.benchRow(p.ID, p.Coords, bench); err != nil {
+			return err
+		}
+	}
+	return s.ck.commit()
 }

@@ -47,41 +47,22 @@ func render(t *testing.T, res *Result) string {
 	return csv.String() + js.String()
 }
 
-// golden runs the sweep through scenario.RunSweep — the single-process
-// reference every distributed execution shape must reproduce bitwise.
-func golden(t *testing.T, sw *scenario.Sweep) string {
+// uninterrupted renders one unsharded run of the sweep with no
+// checkpoint and no crash: the reference every checkpointed, resumed
+// and sharded execution must reproduce bitwise.
+func uninterrupted(t *testing.T, sw *scenario.Sweep) string {
 	t.Helper()
-	res, err := scenario.RunSweep(sw)
+	res, err := Run(sw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv, js bytes.Buffer
-	if err := res.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	return csv.String() + js.String()
-}
-
-// TestRunMatchesRunSweep: the sweepexec scheduler, unsharded and
-// without checkpointing, reproduces scenario.RunSweep byte for byte.
-func TestRunMatchesRunSweep(t *testing.T) {
-	want := golden(t, testSweep())
-	res, err := Run(testSweep(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := render(t, res); got != want {
-		t.Fatalf("sweepexec output differs from scenario.RunSweep:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	return render(t, res)
 }
 
 // TestCheckpointedRunMatches: checkpointing on (both flush
 // granularities) changes nothing about the output.
 func TestCheckpointedRunMatches(t *testing.T) {
-	want := golden(t, testSweep())
+	want := uninterrupted(t, testSweep())
 	for _, flush := range []int{0, 1, 3} {
 		dir := t.TempDir()
 		res, err := Run(testSweep(), Options{CheckpointDir: dir, FlushCells: flush})
@@ -89,7 +70,7 @@ func TestCheckpointedRunMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := render(t, res); got != want {
-			t.Fatalf("flush=%d: checkpointed output differs from golden", flush)
+			t.Fatalf("flush=%d: checkpointed output differs from the uninterrupted run", flush)
 		}
 		if _, err := LoadCheckpoint(dir); err != nil {
 			t.Fatalf("flush=%d: no readable checkpoint after run: %v", flush, err)
@@ -122,7 +103,7 @@ func crashAfter(k int) func(int) error {
 func TestCrashInjectionResume(t *testing.T) {
 	sw := testSweep()
 	totalCells := 12 // 4 points x 3 replications
-	want := golden(t, sw)
+	want := uninterrupted(t, sw)
 	for _, flush := range []int{0, 1} {
 		for k := 0; k <= totalCells; k++ {
 			t.Run(fmt.Sprintf("flush=%d/K=%d", flush, k), func(t *testing.T) {
@@ -158,7 +139,7 @@ func TestCrashInjectionResume(t *testing.T) {
 // crash-resume-crash chains — the shape the -race run exercises.
 func TestCrashInjectionResumeRandomized(t *testing.T) {
 	sw := testSweep()
-	want := golden(t, sw)
+	want := uninterrupted(t, sw)
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 6; trial++ {
 		dir := t.TempDir()
@@ -189,11 +170,11 @@ func TestCrashInjectionResumeRandomized(t *testing.T) {
 }
 
 // TestShardedMergeMatchesSingle: three independent shard runs merge to
-// the single-process golden, byte for byte — the CI smoke's in-process
+// the single-process run, byte for byte — the CI smoke's in-process
 // twin.
 func TestShardedMergeMatchesSingle(t *testing.T) {
 	sw := testSweep()
-	want := golden(t, sw)
+	want := uninterrupted(t, sw)
 	dir := t.TempDir()
 	var paths []string
 	for i := 0; i < 3; i++ {
@@ -249,6 +230,9 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := Run(testSweep(), Options{ShardIndex: 3, ShardCount: 3}); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
+	if _, err := Run(testSweep(), Options{Workers: -1}); err == nil {
+		t.Fatal("negative worker budget accepted")
+	}
 
 	// Resuming an empty directory is a fresh start, not an error: the
 	// previous attempt may have died before its first commit.
@@ -263,10 +247,11 @@ func TestResumeValidation(t *testing.T) {
 
 // TestOrphanSpillIgnored: a crash between the spill rename and the
 // checkpoint rename leaves a spill file beyond the checkpoint's count;
-// a resume must ignore it and still converge to the golden output.
+// a resume must ignore it and still converge to the uninterrupted
+// output.
 func TestOrphanSpillIgnored(t *testing.T) {
 	sw := testSweep()
-	want := golden(t, sw)
+	want := uninterrupted(t, sw)
 	dir := t.TempDir()
 	if _, err := Run(testSweep(), Options{CheckpointDir: dir, FlushCells: 2, AfterCell: crashAfter(6)}); !errors.Is(err, errCrash) {
 		t.Fatal("seed crash run did not crash")
